@@ -41,6 +41,14 @@ type LockOrderConfig struct {
 // nests strictly inside it. peer.mu is a leaf — its critical sections
 // only touch the queue slice and the conn pointer; in particular no
 // network write happens under it.
+//
+// The command log's locks come last. wal.Logger.syncMu serializes a
+// whole group sync (and compaction and close) and is taken before the
+// logger's append mutex Logger.mu, which is a leaf: appends, flushes
+// and the bookkeeping of a sync happen under it, the fsync does not.
+// pe.releaseQueue.mu, the partition's reply release queue, is a leaf
+// too: only slice operations happen under it, and replies are sent
+// after it is released — the log calls it back with no lock held.
 var EngineLockOrder = LockOrderConfig{
 	Ranks: map[string]int{
 		"sstore/internal/pe.partition.ddlMu":  1,
@@ -51,9 +59,12 @@ var EngineLockOrder = LockOrderConfig{
 		"sstore/internal/cluster.Peers.mu":    6,
 		"sstore/internal/cluster.peer.mu":     7,
 		"sstore/internal/bufferpool.Pool.mu":  8,
+		"sstore/internal/wal.Logger.syncMu":   9,
+		"sstore/internal/wal.Logger.mu":       10,
+		"sstore/internal/pe.releaseQueue.mu":  11,
 	},
-	Leaf:     map[int]bool{3: true, 7: true, 8: true},
-	OrderDoc: "ddlMu → readMu → Executor.mu → Views.mu → Table.latch → Peers.mu → peer.mu → Pool.mu",
+	Leaf:     map[int]bool{3: true, 7: true, 8: true, 10: true, 11: true},
+	OrderDoc: "ddlMu → readMu → Executor.mu → Views.mu → Table.latch → Peers.mu → peer.mu → Pool.mu → Logger.syncMu → Logger.mu → releaseQueue.mu",
 }
 
 // LockOrder enforces EngineLockOrder over the module.

@@ -44,8 +44,8 @@ const scaleWorkQueries = 8
 // rides along as the realistic workload.
 //
 // The routed-pipeline-logged variant reruns the synthetic pipeline
-// with strong command logging under group commit: every TE's commit
-// blocks on its partition's log. With the sharded log set each
+// with strong command logging under group commit: every TE's reply
+// waits on its partition's log. With the sharded log set each
 // partition flushes its own file, so the logged workflow still scales
 // with partitions; a shared log would re-serialize on one mutex and
 // one fsync queue exactly the work the routing spread out.

@@ -56,10 +56,10 @@ type Options struct {
 	// log at exactly <path> is still replayed.
 	LogPath string
 	// LogPolicy selects commit durability (§3.1; Figure 9a runs
-	// without group commit, i.e. SyncEachCommit).
+	// without group commit, i.e. SyncEachCommit). Under SyncGroup the
+	// partitions execute ahead of the fsync and client-visible replies
+	// wait for it (DESIGN.md §5).
 	LogPolicy wal.SyncPolicy
-	// GroupWindow is the group-commit window under SyncGroup.
-	GroupWindow time.Duration
 	// LogSegmentBytes rotates each partition's log into sealed
 	// segments of roughly this size, letting checkpoint truncation
 	// age out whole files O(1) instead of rewriting the log. Zero
@@ -318,7 +318,6 @@ func NewEngine(opts Options) (*Engine, error) {
 			Partitions:   len(localPids),
 			PartitionIDs: localPids,
 			Policy:       opts.LogPolicy,
-			GroupWindow:  opts.GroupWindow,
 			SegmentBytes: opts.LogSegmentBytes,
 		})
 		if err != nil {
@@ -335,6 +334,13 @@ func NewEngine(opts Options) (*Engine, error) {
 		})
 		if opts.Workers > 1 {
 			p.startWorkers(opts.Workers)
+		}
+		if e.logs != nil {
+			p.log = e.logs.Logger(pid)
+			if opts.LogPolicy == wal.SyncGroup {
+				p.release = &releaseQueue{}
+				p.log.OnDurable(p.release.release)
+			}
 		}
 		e.parts = append(e.parts, p)
 		e.byPid[pid] = p
@@ -868,13 +874,18 @@ func (e *Engine) borderConsumer(streamKey string) string {
 
 // Drain waits until every partition's queue is empty and the last task
 // has finished — including TEs spawned by PE triggers and batches
-// handed off across partitions. The wait is event-driven: it blocks on
-// the engine-wide outstanding-work counter reaching zero (a committing
-// TE enqueues its children before releasing its own slot, so the
-// counter cannot dip to zero mid-workflow) and burns no CPU, unlike a
-// queue-polling barrier loop.
+// handed off across partitions — and then until the command log is
+// durable at everything appended, so every reply parked on a release
+// queue has been sent. The wait is event-driven: it blocks on the
+// engine-wide outstanding-work counter reaching zero (a committing TE
+// enqueues its children before releasing its own slot, so the counter
+// cannot dip to zero mid-workflow) and burns no CPU, unlike a
+// queue-polling barrier loop. It reports a failed log sync.
 func (e *Engine) Drain() error {
 	e.idle.wait()
+	if e.logs != nil {
+		return e.logs.WaitDurable()
+	}
 	return nil
 }
 

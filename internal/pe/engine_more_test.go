@@ -3,7 +3,6 @@ package pe
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"sstore/internal/recovery"
 	"sstore/internal/stream"
@@ -95,7 +94,6 @@ func TestGroupCommitEndToEnd(t *testing.T) {
 		Recovery:    recovery.ModeStrong,
 		LogPath:     dir + "/cmd.log",
 		LogPolicy:   wal.SyncGroup,
-		GroupWindow: time.Millisecond,
 		SnapshotDir: dir,
 		RouteCall: func(_ string, params types.Row) int {
 			return int(params[0].Int()) % 2

@@ -82,6 +82,15 @@ type partition struct {
 	// CREATE ARCHIVE TABLE; nil until then. Guarded by Engine.archMu.
 	archSite *storage.ArchiveSite
 
+	// log is this partition's command log (nil when logging is off);
+	// lsn is the highest LSN the partition has appended to it
+	// (dispatcher goroutine only). release, non-nil only under
+	// SyncGroup, holds client-visible replies until the log is durable
+	// at the lsn they were produced behind (see release.go).
+	log     *wal.Logger
+	lsn     uint64
+	release *releaseQueue
+
 	done chan struct{}
 }
 
@@ -326,14 +335,22 @@ func (p *partition) execute(t *task) {
 	}
 }
 
+// replyTo is the only way a TE's outcome leaves the partition. Under
+// pipelined group commit the reply parks on the release queue until the
+// log is durable at everything this partition appended so far — the
+// state the reply may reveal — so no client ever sees un-durable state.
 func (p *partition) replyTo(t *task, res *Result, err error) {
-	if t.reply != nil {
-		t.reply <- callResult{res: res, err: err}
+	if t.reply == nil {
+		if err != nil {
+			p.noteTriggerErr(err)
+		}
 		return
 	}
-	if err != nil {
-		p.noteTriggerErr(err)
+	if p.release != nil {
+		p.release.put(p.lsn, t.reply, callResult{res: res, err: err})
+		return
 	}
+	t.reply <- callResult{res: res, err: err}
 }
 
 // noteTriggerErr records a reply-less failure: the cumulative counter
@@ -419,7 +436,7 @@ func (p *partition) retireSP(r *spRun) {
 		p.replyTo(t, nil, err)
 		return
 	}
-	if err := p.logCommit(t); err != nil {
+	if err := p.logCommit(t, r); err != nil {
 		p.aborted++
 		if rbErr := r.tx.Rollback(); rbErr != nil {
 			err = fmt.Errorf("%w (rollback: %v)", err, rbErr)
@@ -427,7 +444,8 @@ func (p *partition) retireSP(r *spRun) {
 		p.retainRelocatedBatch(t)
 		// Deliberately no releaseBorderAdmission here: a log append
 		// can fail after the record's bytes reached the file (fsync
-		// error), so the batch may replay at recovery. Keeping the
+		// error, or a group sync that failed earlier and stopped the
+		// log), so the batch may replay at recovery. Keeping the
 		// admission rejects the retry as a duplicate — losing one
 		// delivery attempt is recoverable; applying the batch twice is
 		// not.
@@ -601,15 +619,19 @@ func (p *partition) groundQueuedBatches() error {
 }
 
 // logCommit appends the TE's command-log record to this partition's
-// log per the recovery mode, blocking until durable. It runs before
-// Commit so a logged transaction is always recoverable (write-ahead).
+// log per the recovery mode. It runs before Commit so a logged
+// transaction is always recoverable (write-ahead); under SyncGroup it
+// does not wait for the fsync — the reply waits instead (replyTo).
 // Because each partition has its own log, concurrent commits on
 // different partitions never contend on a shared mutex or fsync
 // queue; the record's global sequence stamp preserves total commit
 // order for replay.
-func (p *partition) logCommit(t *task) error {
-	e := p.eng
-	if t.noLog || e.logs == nil || !e.loggingOn.Load() || !e.opts.Recovery.ShouldLog(t.kind) {
+//
+// A client Call that wrote nothing — no mutation, no stream append —
+// is not logged: replaying it would change no state. Its reply still
+// parks behind p.lsn, so it never reveals un-durable state early.
+func (p *partition) logCommit(t *task, r *spRun) error {
+	if !p.logged(t) || (t.kind == wal.KindOLTP && r.tx.Mutations() == 0 && len(r.ectx.Appends) == 0) {
 		return nil
 	}
 	rec := &wal.Record{
@@ -629,8 +651,24 @@ func (p *partition) logCommit(t *task) error {
 	if t.kind == wal.KindBorder || t.kind == wal.KindHandoff {
 		rec.Batch = t.batch
 	}
-	_, err := e.logs.Append(p.id, rec)
-	return err
+	return p.appendLog(rec)
+}
+
+// logged reports whether the task's TE is command-logged.
+func (p *partition) logged(t *task) bool {
+	e := p.eng
+	return !t.noLog && p.log != nil && e.loggingOn.Load() && e.opts.Recovery.ShouldLog(t.kind)
+}
+
+// appendLog appends one record to the partition's log and advances the
+// LSN that later replies wait for.
+func (p *partition) appendLog(rec *wal.Record) error {
+	lsn, err := p.log.AppendAsync(rec)
+	if err != nil {
+		return err
+	}
+	p.lsn = lsn
+	return nil
 }
 
 // afterCommit dispatches PE triggers for the TE's stream appends and
@@ -744,6 +782,19 @@ func (p *partition) dispatchTriggers(t *task, appends []ee.StreamAppend) {
 		remote = append(remote, relocated{stream: ap.Table, batchID: ap.BatchID, rows: rows, target: target})
 	}
 	p.sched.PushFrontBatch(local)
+	if len(remote) > 0 && p.release != nil {
+		// A relocated batch leaves the partition: its consumer's log is
+		// another file, so the producer's record must be durable first.
+		// Same-partition consumers (local, above) need no wait — they
+		// sit behind the producer in the same log.
+		if err := p.log.WaitDurable(p.lsn); err != nil {
+			for _, r := range remote {
+				p.noteTriggerErr(fmt.Errorf("pe: batch %d on %s not dispatched to partition %d: %w",
+					r.batchID, r.stream, r.target, err))
+			}
+			return
+		}
+	}
 	for _, r := range remote {
 		// Relocate through the transport: in-process delivery moves the
 		// rows into the consumer tasks (retained=false — drop the local
@@ -816,10 +867,10 @@ func (p *partition) executeNested(t *task) {
 		}
 	}
 	// All children succeeded: log then commit each in order.
-	if !t.noLog && p.eng.logs != nil && p.eng.loggingOn.Load() && p.eng.opts.Recovery.ShouldLog(t.kind) {
+	if p.logged(t) {
 		for _, child := range t.nested {
 			rec := &wal.Record{Kind: t.kind, Partition: p.id, SP: child.sp, Params: child.params}
-			if _, err := p.eng.logs.Append(p.id, rec); err != nil {
+			if err := p.appendLog(rec); err != nil {
 				rollbackAll()
 				p.replyTo(t, nil, fmt.Errorf("pe: command log: %w", err))
 				return

@@ -31,13 +31,24 @@ type ReadView struct {
 // ReadView pins a read view on a partition at the current commit
 // boundary. The pin does not enqueue on the partition scheduler: it
 // waits (off-queue) for the in-flight task only, so reads stay
-// responsive even when thousands of writes are queued.
+// responsive even when thousands of writes are queued. Under pipelined
+// group commit it then waits for the log to be durable at the pinned
+// state, like any other reply leaving the partition.
 func (e *Engine) ReadView(pid int) (*ReadView, error) {
 	p := e.part(pid)
 	if p == nil {
 		return nil, e.remoteErr(pid)
 	}
-	return &ReadView{part: p, view: p.views.Pin()}, nil
+	v := &ReadView{part: p, view: p.views.Pin()}
+	if p.release != nil {
+		// Every record behind the pinned boundary was appended before
+		// it, so the log's current LSN covers the view.
+		if err := p.log.WaitDurable(e.logs.LastSeq()); err != nil {
+			v.Close()
+			return nil, err
+		}
+	}
+	return v, nil
 }
 
 // Close releases the view. Idempotent.

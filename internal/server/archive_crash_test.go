@@ -12,6 +12,7 @@ import (
 	"sstore"
 	"sstore/client"
 	"sstore/internal/page"
+	"sstore/internal/wal"
 )
 
 // archivePayload pads each history row so a few hundred batches grow
@@ -73,7 +74,7 @@ func TestArchiveCrashRecovery(t *testing.T) {
 	// The auto-checkpoint policy must have committed a generation
 	// carrying the archive page file by now; wait for it (the policy
 	// polls every 100ms).
-	genPages := waitForGenPages(t, dir)
+	waitForGenPages(t, dir)
 
 	// Phase 2: keep ingesting from a second connection and SIGKILL the
 	// server mid-feed — no flush, no goodbye. Dirty frames die in
@@ -102,9 +103,12 @@ func TestArchiveCrashRecovery(t *testing.T) {
 	cc.Close()
 	cc2.Close()
 
-	// The checkpoint generation's page file must CRC-validate block by
-	// block — a torn or bit-rotted page here would poison recovery.
-	verifyPageFile(t, genPages)
+	// The committed checkpoint generation's page file must CRC-validate
+	// block by block — a torn or bit-rotted page here would poison
+	// recovery. Resolve the generation only now: an auto-checkpoint
+	// during phase 2 may have committed a newer one and swept the file
+	// waitForGenPages saw.
+	verifyPageFile(t, committedGenPages(t, dir))
 
 	// Restart from the log: snapshot + page restore + WAL redo.
 	srv = startServerBin(t, bin, args...)
@@ -164,8 +168,8 @@ func reservePort(t *testing.T) string {
 
 // waitForGenPages blocks until an archive page-file generation shows
 // up in the snapshot dir (the auto-checkpoint policy runs on a 100ms
-// tick) and returns its path.
-func waitForGenPages(t *testing.T, dir string) string {
+// tick).
+func waitForGenPages(t *testing.T, dir string) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -175,7 +179,7 @@ func waitForGenPages(t *testing.T, dir string) string {
 		}
 		for _, ent := range ents {
 			if strings.HasPrefix(ent.Name(), "snapshot.p0.arch_history.pages.g") {
-				return filepath.Join(dir, ent.Name())
+				return
 			}
 		}
 		if time.Now().After(deadline) {
@@ -183,6 +187,17 @@ func waitForGenPages(t *testing.T, dir string) string {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
+}
+
+// committedGenPages names the archive page file of the checkpoint
+// generation the snapshot manifest commits.
+func committedGenPages(t *testing.T, dir string) string {
+	t.Helper()
+	stamp, ok, err := wal.ReadSnapshotManifest(dir)
+	if err != nil || !ok {
+		t.Fatalf("no committed checkpoint manifest in %s (found %v): %v", dir, ok, err)
+	}
+	return filepath.Join(dir, fmt.Sprintf("snapshot.p0.arch_history.pages.g%d", stamp))
 }
 
 // verifyPageFile opens a page file and reads every block, which

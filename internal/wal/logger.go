@@ -13,7 +13,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // SyncPolicy controls when appended records become durable.
@@ -24,9 +23,15 @@ const (
 	// individually durable before it is acknowledged. This is the
 	// "no group commit" configuration of the paper's Figure 9a.
 	SyncEachCommit SyncPolicy = iota
-	// SyncGroup batches appends and fsyncs once per group window,
-	// releasing all waiting commits together (H-Store's group
-	// commit, §3.1).
+	// SyncGroup is pipelined group commit (H-Store's group commit,
+	// §3.1): AppendAsync only writes the record and returns its LSN,
+	// and a per-log flusher fsyncs whenever appended records are not
+	// yet durable — with the fsync outside the append mutex, so the
+	// group synced next is whatever arrived during the previous fsync.
+	// Callers learn durability from Durable, WaitDurable and the
+	// OnDurable callback; Append still blocks until its record is
+	// durable. A failed sync is sticky: nothing past the last good
+	// sync is ever reported durable, and later appends fail.
 	SyncGroup
 	// SyncNone buffers writes and never fsyncs explicitly (flush on
 	// close); used when durability is disabled for throughput
@@ -41,9 +46,6 @@ type Options struct {
 	Path string
 	// Policy selects the durability mode.
 	Policy SyncPolicy
-	// GroupWindow is the flush interval under SyncGroup; it defaults
-	// to 2ms, a typical group-commit window.
-	GroupWindow time.Duration
 	// Seq, when non-nil, is a sequence counter shared with other
 	// loggers (a LogSet): records appended to any of them draw LSNs
 	// from one lock-free global commit sequence, so total commit
@@ -114,21 +116,27 @@ func logSegments(base string) ([]segFile, error) {
 }
 
 // Logger is an append-only command log for one partition (execution
-// site). Appends are serialized internally; the partition blocks in
-// Append until its record is durable per the sync policy, which is
-// exactly the commit-time behavior the recovery experiments measure.
-// Loggers of one engine share a global sequence counter through a
-// LogSet, so their files merge back into total commit order.
+// site). Appends are serialized internally. Under SyncEachCommit the
+// appending partition waits for its fsync; under SyncGroup it only
+// writes and moves on, and learns durability from the flusher (see
+// SyncGroup). Loggers of one engine share a global sequence counter
+// through a LogSet, so their files merge back into total commit order.
 type Logger struct {
-	mu   sync.Mutex
-	f    *os.File
-	w    *bufio.Writer
-	seq  *atomic.Uint64
-	opts Options
+	// syncMu serializes whole syncs against each other and against
+	// compaction and close, so the flusher can fsync a file outside mu
+	// without the file being swapped or closed underneath it. Lock
+	// order: syncMu, then mu.
+	syncMu sync.Mutex
+	mu     sync.Mutex
+	f      *os.File
+	w      *bufio.Writer
+	seq    *atomic.Uint64
+	opts   Options
 
 	// Active-segment state: segIdx is the index of the file currently
 	// appended to (always the highest existing index), segSize its
-	// byte length. Rotation is checked after every append.
+	// byte length. Rotation is checked after every append (under
+	// SyncGroup, at every group sync).
 	segIdx  int
 	segSize int64
 
@@ -137,16 +145,23 @@ type Logger struct {
 	// before the mutex releases, so one buffer serves every append.
 	enc []byte
 
-	// Group-commit state. The flusher sleeps until kicked by the
-	// first waiter of a group, then syncs once the group window
-	// (measured from the previous sync) has elapsed — so an idle log
-	// never ticks and a waiter arriving after an idle period longer
-	// than the window is synced immediately.
-	waiters  []chan error
-	kick     chan struct{}
-	lastSync time.Time
-	stop     chan struct{}
-	done     chan struct{}
+	// last is the highest LSN written; durable the highest LSN known
+	// durable per the policy (published after the OnDurable callback
+	// ran, so a WaitDurable that returns implies the callback saw it).
+	// failed is the sticky sync error that stops a SyncGroup log.
+	// cond (on mu) wakes WaitDurable on every advance or failure.
+	last      uint64
+	durable   atomic.Uint64
+	failed    error
+	cond      sync.Cond
+	onDurable func(lsn uint64, err error)
+	// syncFile fsyncs one file; nil means (*os.File).Sync. Tests
+	// replace it to inject sync failures.
+	syncFile func(*os.File) error
+
+	kick chan struct{}
+	stop chan struct{}
+	done chan struct{}
 
 	appends uint64
 	syncs   uint64
@@ -159,9 +174,6 @@ type Logger struct {
 // Open creates or appends to the log file. An existing log should be
 // read with ReadAll before opening for writes.
 func Open(opts Options) (*Logger, error) {
-	if opts.GroupWindow <= 0 {
-		opts.GroupWindow = 2 * time.Millisecond
-	}
 	// Appends always continue in the highest existing segment — even
 	// when rotation is now off — so segment order keeps matching LSN
 	// order for readers.
@@ -185,28 +197,57 @@ func Open(opts Options) (*Logger, error) {
 		seq = new(atomic.Uint64)
 	}
 	l := &Logger{
-		f:        f,
-		w:        bufio.NewWriterSize(f, 1<<16),
-		seq:      seq,
-		opts:     opts,
-		segIdx:   segIdx,
-		segSize:  st.Size(),
-		lastSync: time.Now(),
+		f:       f,
+		w:       bufio.NewWriterSize(f, 1<<16),
+		seq:     seq,
+		opts:    opts,
+		segIdx:  segIdx,
+		segSize: st.Size(),
 	}
+	l.cond.L = &l.mu
 	if opts.Policy == SyncGroup {
 		l.kick = make(chan struct{}, 1)
 		l.stop = make(chan struct{})
 		l.done = make(chan struct{})
-		go l.groupFlusher()
+		go l.flusher()
 	}
 	return l, nil
+}
+
+// OnDurable registers the logger's completion callback: under
+// SyncGroup the flusher calls it after every sync, from its own
+// goroutine with no lock held, with the LSN now durable — or, once a
+// sync failed, with the last durable LSN and the sticky error. Calls
+// are serialized and their LSNs never decrease. Register before the
+// first append.
+func (l *Logger) OnDurable(fn func(lsn uint64, err error)) {
+	l.mu.Lock()
+	l.onDurable = fn
+	l.mu.Unlock()
 }
 
 // Append assigns the record the next sequence number, writes it, and
 // blocks until it is durable per the sync policy. It returns the
 // assigned LSN.
 func (l *Logger) Append(rec *Record) (uint64, error) {
+	lsn, err := l.AppendAsync(rec)
+	if err != nil || l.opts.Policy != SyncGroup {
+		return lsn, err
+	}
+	return lsn, l.WaitDurable(lsn)
+}
+
+// AppendAsync assigns the record the next sequence number and writes
+// it. Under SyncGroup it returns without waiting for durability — see
+// Durable, WaitDurable and OnDurable — and fails once a sync has
+// failed; under the other policies it is Append.
+func (l *Logger) AppendAsync(rec *Record) (uint64, error) {
 	l.mu.Lock()
+	if l.failed != nil {
+		err := l.failed
+		l.mu.Unlock()
+		return 0, err
+	}
 	// The stamp is lock-free with respect to the other partitions'
 	// logs: only this logger's own mutex is held, never a cross-log
 	// lock. Taking it under the local mutex keeps LSNs monotonic
@@ -219,11 +260,11 @@ func (l *Logger) Append(rec *Record) (uint64, error) {
 		l.mu.Unlock()
 		return 0, fmt.Errorf("wal: append: %w", err)
 	}
+	l.last = rec.LSN
 	l.segSize += int64(len(buf))
 	l.bytes += uint64(len(buf))
-	if l.opts.SegmentBytes > 0 && l.segSize >= l.opts.SegmentBytes {
-		// Seal before acknowledging: the seal syncs the segment, so the
-		// record is durable regardless of the policy branch below.
+	// Under SyncGroup the flusher seals full segments (syncGroup).
+	if l.opts.Policy != SyncGroup && l.rotateDue() {
 		if err := l.rotateLocked(); err != nil {
 			l.mu.Unlock()
 			return 0, err
@@ -232,24 +273,56 @@ func (l *Logger) Append(rec *Record) (uint64, error) {
 	switch l.opts.Policy {
 	case SyncEachCommit:
 		err := l.flushAndSyncLocked()
+		if err == nil {
+			l.durable.Store(rec.LSN)
+		}
 		l.mu.Unlock()
 		return rec.LSN, err
 	case SyncNone:
+		l.durable.Store(rec.LSN)
 		l.mu.Unlock()
 		return rec.LSN, nil
 	default: // SyncGroup
-		ch := make(chan error, 1)
-		l.waiters = append(l.waiters, ch)
-		first := len(l.waiters) == 1
 		l.mu.Unlock()
-		if first {
-			select {
-			case l.kick <- struct{}{}:
-			default:
-			}
+		select {
+		case l.kick <- struct{}{}:
+		default:
 		}
-		return rec.LSN, <-ch
+		return rec.LSN, nil
 	}
+}
+
+// Durable returns the highest LSN durable per the sync policy: under
+// SyncGroup and SyncEachCommit every record this logger holds at or
+// below it survives a crash; SyncNone promises nothing and reports the
+// last append.
+func (l *Logger) Durable() uint64 { return l.durable.Load() }
+
+// WaitDurable blocks until every record this logger has appended at or
+// below lsn is durable, or returns the sticky sync error that stopped
+// the log first. The other policies settle durability inside Append,
+// so it returns at once for them.
+func (l *Logger) WaitDurable(lsn uint64) error {
+	if l.opts.Policy != SyncGroup || l.durable.Load() >= lsn {
+		return nil
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	lsn = min(lsn, l.last)
+	for l.durable.Load() < lsn {
+		if l.failed != nil {
+			return l.failed
+		}
+		l.cond.Wait()
+	}
+	return nil
+}
+
+func (l *Logger) fsync(f *os.File) error {
+	if l.syncFile != nil {
+		return l.syncFile(f)
+	}
+	return f.Sync()
 }
 
 func (l *Logger) flushAndSyncLocked() error {
@@ -257,12 +330,16 @@ func (l *Logger) flushAndSyncLocked() error {
 		return fmt.Errorf("wal: flush: %w", err)
 	}
 	l.syncs++
-	if err := l.f.Sync(); err != nil {
+	if err := l.fsync(l.f); err != nil {
 		return fmt.Errorf("wal: sync: %w", err)
 	}
-	//lint:allow replaydet -- group-commit pacing stamp; affects flush batching, never logged state
-	l.lastSync = time.Now()
 	return nil
+}
+
+// rotateDue reports whether the active segment has reached the
+// rotation threshold.
+func (l *Logger) rotateDue() bool {
+	return l.opts.SegmentBytes > 0 && l.segSize >= l.opts.SegmentBytes
 }
 
 // rotateLocked seals the active segment — flush, sync, close, so a
@@ -287,49 +364,76 @@ func (l *Logger) rotateLocked() error {
 	return nil
 }
 
-// groupFlusher releases group-commit waiters. It is kicked by the
-// first waiter of each group and syncs once the group window has
-// elapsed since the previous sync — immediately, when the log has been
-// idle past the window, rather than making every group sleep the full
-// window.
-func (l *Logger) groupFlusher() {
+// flusher is the SyncGroup sync loop: kicked by appends, it syncs
+// until nothing appended is left un-durable, then sleeps. There is no
+// timer and no window — an idle log never ticks, and the next group is
+// simply whatever arrived during the previous fsync.
+func (l *Logger) flusher() {
 	defer close(l.done)
 	for {
 		select {
 		case <-l.stop:
-			l.flushGroup()
+			for l.syncGroup() {
+			}
 			return
 		case <-l.kick:
-			l.mu.Lock()
-			wait := l.opts.GroupWindow - time.Since(l.lastSync)
-			l.mu.Unlock()
-			if wait > 0 {
-				timer := time.NewTimer(wait)
-				select {
-				case <-timer.C:
-				case <-l.stop:
-					timer.Stop()
-					l.flushGroup()
-					return
-				}
+			for l.syncGroup() {
 			}
-			l.flushGroup()
 		}
 	}
 }
 
-func (l *Logger) flushGroup() {
+// syncGroup makes every record appended so far durable: the buffered
+// group is written under mu, then fsynced outside it, so appends keep
+// landing in the buffer during the fsync. A full segment is sealed here
+// instead, with the group's sync inline under mu — once per segment,
+// appends wait out one fsync; the partition never runs one itself. It
+// reports whether it synced anything; false also once the log has
+// failed.
+func (l *Logger) syncGroup() bool {
+	l.syncMu.Lock()
 	l.mu.Lock()
-	waiters := l.waiters
-	l.waiters = nil
+	upto := l.last
+	if l.failed != nil || upto <= l.durable.Load() {
+		l.mu.Unlock()
+		l.syncMu.Unlock()
+		return false
+	}
 	var err error
-	if len(waiters) > 0 {
-		err = l.flushAndSyncLocked()
+	sealed := l.rotateDue()
+	if sealed {
+		err = l.rotateLocked()
+	} else if err = l.w.Flush(); err != nil {
+		err = fmt.Errorf("wal: flush: %w", err)
+	} else {
+		l.syncs++
 	}
+	f, cb := l.f, l.onDurable
 	l.mu.Unlock()
-	for _, ch := range waiters {
-		ch <- err
+	if err == nil && !sealed {
+		if err = l.fsync(f); err != nil {
+			err = fmt.Errorf("wal: sync: %w", err)
+		}
 	}
+	if err != nil {
+		l.mu.Lock()
+		l.failed = err
+		l.cond.Broadcast()
+		l.mu.Unlock()
+		upto = l.durable.Load()
+	}
+	l.syncMu.Unlock()
+	if cb != nil {
+		cb(upto, err)
+	}
+	if err != nil {
+		return false
+	}
+	l.mu.Lock()
+	l.durable.Store(upto)
+	l.cond.Broadcast()
+	l.mu.Unlock()
+	return true
 }
 
 // Stats reports the number of appended records and fsync calls; the
@@ -347,18 +451,27 @@ func (l *Logger) Bytes() uint64 {
 	return l.bytes
 }
 
-// Close flushes buffered records and closes the file.
+// Close makes every appended record durable per the policy (under
+// SyncGroup the flusher's last sync runs first, releasing waiters and
+// the OnDurable callback), then closes the file. It reports the sticky
+// sync failure of a stopped log.
 func (l *Logger) Close() error {
 	if l.stop != nil {
 		close(l.stop)
 		<-l.done
 	}
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if err := l.w.Flush(); err != nil {
-		return err
+	err := l.w.Flush()
+	if cerr := l.f.Close(); err == nil {
+		err = cerr
 	}
-	return l.f.Close()
+	if err == nil {
+		err = l.failed
+	}
+	return err
 }
 
 // CompactBefore discards records with LSN <= keepAfter — everything at
@@ -373,6 +486,10 @@ func (l *Logger) Close() error {
 // (write-temp-then-rename), so a crash mid-compaction leaves the old
 // log intact.
 func (l *Logger) CompactBefore(keepAfter uint64) error {
+	// Hold syncMu too: the flusher must not be fsyncing the file this
+	// rewrite renames over.
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err := l.w.Flush(); err != nil {

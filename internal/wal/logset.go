@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"strings"
 	"sync/atomic"
-	"time"
 )
 
 // LogSet shards the command log one file per partition, the way
@@ -41,8 +40,6 @@ type SetOptions struct {
 	Partitions int
 	// Policy selects the durability mode, per Logger.
 	Policy SyncPolicy
-	// GroupWindow is the flush interval under SyncGroup.
-	GroupWindow time.Duration
 	// SegmentBytes rotates each partition's log into bounded segments,
 	// per Logger.Options: sealed segments age out whole during
 	// compaction instead of being rewritten. Zero keeps one file per
@@ -84,7 +81,6 @@ func OpenSet(opts SetOptions) (*LogSet, error) {
 		l, err := Open(Options{
 			Path:         PartitionPath(opts.Path, pid),
 			Policy:       opts.Policy,
-			GroupWindow:  opts.GroupWindow,
 			Seq:          &s.seq,
 			SegmentBytes: opts.SegmentBytes,
 		})
@@ -112,6 +108,22 @@ func (s *LogSet) Append(pid int, rec *Record) (uint64, error) {
 		return 0, fmt.Errorf("wal: no log for partition %d", pid)
 	}
 	return l.Append(rec)
+}
+
+// Logger returns the partition's log, or nil when the set has none for
+// it. A partition engine appends through its own Logger directly and
+// registers its OnDurable callback there.
+func (s *LogSet) Logger(pid int) *Logger { return s.byPid[pid] }
+
+// WaitDurable blocks until every record appended to any partition's
+// log so far is durable, or returns the first log's sticky sync error.
+func (s *LogSet) WaitDurable() error {
+	for _, l := range s.loggers {
+		if err := l.WaitDurable(s.seq.Load()); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // LastSeq returns the most recently assigned global sequence number

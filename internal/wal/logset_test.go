@@ -184,29 +184,27 @@ func TestLogSetCompactBefore(t *testing.T) {
 }
 
 func TestGroupCommitFlushesImmediatelyWhenDue(t *testing.T) {
-	// A waiter arriving after the log has been idle longer than the
-	// group window must not sleep another full window: the sync is
-	// already due, so it flushes immediately.
+	// Group commit has no window to sleep out: an append to an idle log
+	// kicks the flusher, which syncs at once, so the wait is one fsync.
 	path := filepath.Join(t.TempDir(), "cmd.log")
-	const window = 300 * time.Millisecond
-	l, err := Open(Options{Path: path, Policy: SyncGroup, GroupWindow: window})
+	l, err := Open(Options{Path: path, Policy: SyncGroup})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	// First append pays up to one window (the timer arms at open).
-	if _, err := l.Append(testRecord(KindOLTP, "A", 1)); err != nil {
-		t.Fatal(err)
-	}
-	// Idle past the window, then append: the flush must come well
-	// under a full window.
-	time.Sleep(window + 50*time.Millisecond)
-	start := time.Now()
-	if _, err := l.Append(testRecord(KindOLTP, "B", 2)); err != nil {
-		t.Fatal(err)
-	}
-	if d := time.Since(start); d > window/2 {
-		t.Errorf("overdue sync took %v, want immediate (window %v)", d, window)
+	for i, sp := range []string{"A", "B"} {
+		start := time.Now()
+		lsn, err := l.Append(testRecord(KindOLTP, sp, int64(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := time.Since(start); d > 250*time.Millisecond {
+			t.Errorf("append %s took %v on an idle log, want one fsync", sp, d)
+		}
+		if got := l.Durable(); got < lsn {
+			t.Errorf("Append returned before LSN %d was durable (durable %d)", lsn, got)
+		}
+		time.Sleep(20 * time.Millisecond) // idle between appends
 	}
 }
 

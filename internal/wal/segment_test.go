@@ -37,25 +37,32 @@ func segCount(t *testing.T, base string) int {
 }
 
 func TestSegmentRotationRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cmd.log")
-	l := openSegmented(t, path)
-	appendN(t, l, 20)
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if n := segCount(t, path); n < 3 {
-		t.Fatalf("expected several segments at 128-byte rotation, got %d", n)
-	}
-	recs, err := ReadAll(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 20 {
-		t.Fatalf("read %d records across segments, want 20", len(recs))
-	}
-	for i, r := range recs {
-		if r.LSN != uint64(i+1) {
-			t.Fatalf("record %d: LSN %d, want %d — segment chaining broke order", i, r.LSN, i+1)
+	// Under SyncGroup the flusher seals full segments, inside a group
+	// sync; the files must read back the same way.
+	for _, policy := range []SyncPolicy{SyncEachCommit, SyncGroup} {
+		path := filepath.Join(t.TempDir(), "cmd.log")
+		l, err := Open(Options{Path: path, Policy: policy, SegmentBytes: 128})
+		if err != nil {
+			t.Fatal(err)
+		}
+		appendN(t, l, 20)
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if n := segCount(t, path); n < 3 {
+			t.Fatalf("policy %d: expected several segments at 128-byte rotation, got %d", policy, n)
+		}
+		recs, err := ReadAll(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) != 20 {
+			t.Fatalf("policy %d: read %d records across segments, want 20", policy, len(recs))
+		}
+		for i, r := range recs {
+			if r.LSN != uint64(i+1) {
+				t.Fatalf("policy %d: record %d: LSN %d, want %d — segment chaining broke order", policy, i, r.LSN, i+1)
+			}
 		}
 	}
 }

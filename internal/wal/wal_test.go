@@ -90,17 +90,22 @@ func TestTornTailIgnored(t *testing.T) {
 
 func TestGroupCommitReleasesWaiters(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cmd.log")
-	l, err := Open(Options{Path: path, Policy: SyncGroup, GroupWindow: time.Millisecond})
+	l, err := Open(Options{Path: path, Policy: SyncGroup})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Release the appenders together: whatever arrives while the first
+	// fsync runs is synced as one group by the next.
+	start := make(chan struct{})
 	done := make(chan error, 10)
 	for i := 0; i < 10; i++ {
 		go func(i int64) {
+			<-start
 			_, err := l.Append(testRecord(KindOLTP, "G", i))
 			done <- err
 		}(int64(i))
 	}
+	close(start)
 	for i := 0; i < 10; i++ {
 		select {
 		case err := <-done:

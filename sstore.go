@@ -131,7 +131,11 @@ const (
 	// SyncEachCommit makes every commit individually durable (no
 	// group commit).
 	SyncEachCommit = wal.SyncEachCommit
-	// SyncGroup batches commits into group-commit windows.
+	// SyncGroup is pipelined group commit: partitions execute ahead
+	// of the fsync, one fsync covers whatever committed during the
+	// previous one, and acks, Call results and reads wait until the
+	// log is durable at the state they reveal. A failed sync stops the
+	// engine's log for good: every later reply carries the error.
 	SyncGroup = wal.SyncGroup
 	// SyncNone buffers log writes without fsync.
 	SyncNone = wal.SyncNone
@@ -160,8 +164,6 @@ type Config struct {
 	LogPath string
 	// LogPolicy selects commit durability (default SyncEachCommit).
 	LogPolicy SyncPolicy
-	// GroupWindow is the group-commit window under SyncGroup.
-	GroupWindow time.Duration
 	// LogSegmentBytes rotates each partition's log into sealed
 	// segments of roughly this size (aged out O(1) at checkpoint
 	// truncation); zero keeps one file per partition.
@@ -275,7 +277,6 @@ func Open(cfg Config) (*Engine, error) {
 		Recovery:             cfg.Recovery,
 		LogPath:              cfg.LogPath,
 		LogPolicy:            cfg.LogPolicy,
-		GroupWindow:          cfg.GroupWindow,
 		LogSegmentBytes:      cfg.LogSegmentBytes,
 		SnapshotDir:          cfg.SnapshotDir,
 		PartitionBy:          cfg.PartitionBy,
