@@ -22,7 +22,9 @@ import (
 	"sstore/internal/workflow"
 )
 
-// Options configures an Engine.
+// Options configures an Engine. The zero value is a single-partition,
+// no-logging, no-network-simulation engine suitable for tests and
+// embedded use.
 type Options struct {
 	// Partitions is the number of execution sites; one core each
 	// (§3.1). Defaults to 1.
@@ -52,8 +54,7 @@ type Options struct {
 	// LogPath is the command-log location, required when Recovery is
 	// not ModeNone. The log is sharded one file per partition: an
 	// existing directory holds <dir>/cmd-p<N>.log, any other path is
-	// used as a file-name prefix (<path>.p<N>). A legacy unsharded
-	// log at exactly <path> is still replayed.
+	// used as a file-name prefix (<path>.p<N>).
 	LogPath string
 	// LogPolicy selects commit durability (§3.1; Figure 9a runs
 	// without group commit, i.e. SyncEachCommit). Under SyncGroup the
@@ -1095,12 +1096,6 @@ func (e *Engine) Stats() Stats {
 
 // --- Checkpoint & recovery ---
 
-// snapshotPath is the legacy (pre-manifest) per-partition snapshot
-// name, still loaded when no manifest exists.
-func (e *Engine) snapshotPath(pid int) string {
-	return filepath.Join(e.opts.SnapshotDir, fmt.Sprintf("snapshot.p%d", pid))
-}
-
 // genSnapshotPath names one partition's snapshot file within a
 // checkpoint generation; the generation is committed by the manifest.
 func (e *Engine) genSnapshotPath(pid int, stamp uint64) string {
@@ -1180,15 +1175,10 @@ func (e *Engine) checkpointArchives(p *partition, stamp uint64) error {
 // page-file copy), so every table whose snapshot entry announced
 // archived rows now restores its page file. Runs on the partition
 // goroutine via onPartition.
-func (e *Engine) restoreArchives(p *partition, stamp uint64, committed bool) error {
+func (e *Engine) restoreArchives(p *partition, stamp uint64) error {
 	for _, t := range p.cat.Tables() {
 		if !t.ArchiveAwaitingPages() {
 			continue
-		}
-		if !committed {
-			// Legacy pre-manifest snapshots predate archive tables; an
-			// archive entry inside one means the manifest was damaged.
-			return fmt.Errorf("pe: archive table %q requires a committed snapshot generation", t.Name())
 		}
 		if err := t.ArchiveRestore(e.genPagePath(p.id, t.Name(), stamp)); err != nil {
 			return fmt.Errorf("pe: archive restore %s: %w", t.Name(), err)
@@ -1197,9 +1187,8 @@ func (e *Engine) restoreArchives(p *partition, stamp uint64, committed bool) err
 	return nil
 }
 
-// cleanupSnapshotGenerations best-effort removes snapshot files of
-// generations other than keep — superseded generations and legacy
-// plain files — once a new manifest has committed.
+// cleanupSnapshotGenerations best-effort removes the files of
+// superseded snapshot generations once a new manifest has committed.
 func (e *Engine) cleanupSnapshotGenerations(keep uint64) {
 	ents, err := os.ReadDir(e.opts.SnapshotDir)
 	if err != nil {

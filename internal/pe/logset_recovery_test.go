@@ -2,6 +2,7 @@ package pe
 
 import (
 	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -104,10 +105,29 @@ func TestShardedRecoveryRoutedWorkflow(t *testing.T) {
 		}
 	}
 	// The engine keeps working with the sequence re-armed past the
-	// replayed records: new traffic logs fresh LSNs and lands cleanly.
+	// replayed records: new traffic logs fresh LSNs, above every
+	// replayed one, and lands cleanly.
+	replayed, err := wal.ReadSetMerged(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	maxReplayed := replayed[len(replayed)-1].LSN
 	ingestRouted(t, e2, 16, 4)
 	if n := len(resultsAcross(t, e2, parts)); n != len(want)+4 {
 		t.Errorf("post-recovery results = %d, want %d", n, len(want)+4)
+	}
+	all, err := wal.ReadSetMerged(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(all) <= len(replayed) {
+		t.Fatalf("post-recovery traffic logged nothing (%d records, %d before)", len(all), len(replayed))
+	}
+	for i, r := range all {
+		if old := i < len(replayed); old != (r.LSN <= maxReplayed) {
+			t.Fatalf("record %d has LSN %d against %d replayed records up to LSN %d: new commits must number above them",
+				i, r.LSN, len(replayed), maxReplayed)
+		}
 	}
 }
 
@@ -612,60 +632,29 @@ func deployFanOutChain(t *testing.T, e *Engine) {
 	}
 }
 
-// TestLegacyUnshardedLogReplays: a log written pre-sharding (one file
-// at exactly LogPath) still recovers on the sharded engine; new
-// commits then go to the shards with LSNs continuing past the legacy
-// records.
-func TestLegacyUnshardedLogReplays(t *testing.T) {
-	dir := t.TempDir()
-	base := dir + "/cmd.log"
-	// Hand-write a legacy single-file log holding two border records,
-	// as the seed engine would have.
-	l, err := wal.Open(wal.Options{Path: base, Policy: wal.SyncEachCommit})
-	if err != nil {
+// TestRecoverWithoutSnapshotDirIgnoresWorkingDir: an engine without a
+// SnapshotDir can never have checkpointed, so recovery reads no
+// manifest at all — not even one that happens to sit in the process's
+// working directory.
+func TestRecoverWithoutSnapshotDirIgnoresWorkingDir(t *testing.T) {
+	cwd := t.TempDir()
+	if err := os.WriteFile(filepath.Join(cwd, "snapshot.manifest"), []byte("not a manifest"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for b := int64(1); b <= 2; b++ {
-		_, err := l.Append(&wal.Record{
-			Kind:    wal.KindBorder,
-			SP:      "SP1",
-			BatchID: b,
-			Params:  types.Row{types.NewInt(b)},
-			Batch:   []types.Row{{types.NewInt(b * 10)}},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	l.Close()
+	t.Chdir(cwd)
+	opts := routedLogOpts(t.TempDir(), 2, recovery.ModeStrong)
+	opts.SnapshotDir = ""
+	e1 := newEngine(t, opts)
+	deployRoutedPipeline(t, e1)
+	ingestRouted(t, e1, 0, 4)
+	e1.Close()
 
-	opts := Options{
-		Recovery:    recovery.ModeStrong,
-		LogPath:     base,
-		LogPolicy:   wal.SyncEachCommit,
-		SnapshotDir: dir,
-	}
-	e := newEngine(t, opts)
-	deployChain(t, e, 2, nil)
-	if err := e.Recover(); err != nil {
+	e2 := newEngine(t, opts)
+	deployRoutedPipeline(t, e2)
+	if err := e2.Recover(); err != nil {
 		t.Fatal(err)
 	}
-	res, _ := e.AdHoc(0, "SELECT COUNT(*) FROM sink")
-	if res.Rows[0][0].Int() != 4 { // 2 batches × 2 SPs
-		t.Fatalf("sink rows = %v, want 4", res.Rows[0][0])
-	}
-	// New traffic logs into the shard past the legacy LSNs.
-	if err := e.IngestSync("s1", &stream.Batch{ID: 3, Rows: []types.Row{{types.NewInt(30)}}}); err != nil {
-		t.Fatal(err)
-	}
-	e.Drain()
-	recs, err := wal.ReadAll(wal.PartitionPath(base, 0))
-	if err != nil || len(recs) == 0 {
-		t.Fatalf("shard 0: %d records (%v)", len(recs), err)
-	}
-	for _, r := range recs {
-		if r.LSN <= 2 {
-			t.Errorf("shard record LSN %d collides with legacy log", r.LSN)
-		}
+	if got := len(resultsAcross(t, e2, 2)); got != 4 {
+		t.Errorf("recovered %d results, want 4", got)
 	}
 }

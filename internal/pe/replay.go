@@ -2,7 +2,6 @@ package pe
 
 import (
 	"fmt"
-	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -135,52 +134,42 @@ func (s *replayStash) drain() []drainedBatch {
 // committed checkpoint generation into every partition, returning the
 // generation's commit-sequence stamp. The manifest names the
 // generation, so a checkpoint torn between per-partition snapshot
-// writes can never load partitions at mixed stamps; without a
-// manifest (pre-manifest checkpoints) the legacy plain files load as
-// before.
+// writes can never load partitions at mixed stamps. No SnapshotDir or
+// no manifest means no checkpoint was ever committed: it returns 0 and
+// touches no partition.
 //
 //sstore:deterministic
 func (e *Engine) LoadSnapshot() (uint64, error) {
+	if e.opts.SnapshotDir == "" {
+		return 0, nil
+	}
 	stamp, committed, err := wal.ReadSnapshotManifest(e.opts.SnapshotDir)
-	if err != nil {
+	if err != nil || !committed {
 		return 0, err
 	}
-	var lastLSN uint64
 	for _, p := range e.parts {
-		path := e.snapshotPath(p.id)
-		if committed {
-			path = e.genSnapshotPath(p.id, stamp)
-			if _, err := os.Stat(path); err != nil {
-				// A committed generation is complete by construction;
-				// a missing member means external damage, and loading
+		err := e.onPartition(p, func(p *partition) error {
+			path := e.genSnapshotPath(p.id, stamp)
+			if _, err := wal.LoadSnapshot(path, p.cat.Lookup); err != nil {
+				// A committed generation is complete by construction; a
+				// missing member means external damage, and loading
 				// around it would silently drop that partition's
 				// checkpointed state.
-				return 0, fmt.Errorf("pe: snapshot generation %d missing %s: %w", stamp, path, err)
-			}
-		}
-		var lsn uint64
-		loadErr := e.onPartition(p, func(p *partition) error {
-			var err error
-			lsn, err = wal.LoadSnapshot(path, p.cat.Lookup)
-			if err != nil {
-				return err
+				return fmt.Errorf("pe: snapshot generation %d, %s: %w", stamp, path, err)
 			}
 			// Archive tables' rows live in the generation's page-file
 			// copies, not the row snapshot; restore them now so WAL
 			// redo replays against complete state.
-			return e.restoreArchives(p, stamp, committed)
+			return e.restoreArchives(p, stamp)
 		})
-		if loadErr != nil {
-			return 0, loadErr
-		}
-		if lsn > lastLSN {
-			lastLSN = lsn
+		if err != nil {
+			return 0, err
 		}
 	}
 	// Remember the stamp for Recover: the commit sequence must re-arm
 	// past it even when compaction has emptied the logs.
-	e.snapLSN = lastLSN
-	return lastLSN, nil
+	e.snapLSN = stamp
+	return stamp, nil
 }
 
 // SetPETriggersEnabled implements recovery.Engine.

@@ -21,8 +21,7 @@
 //     was interrupted.
 //
 // The command log is sharded one file per partition (wal.LogSet); both
-// drivers handle a torn tail independently per log, and both accept a
-// legacy unsharded log at the base path.
+// drivers handle a torn tail independently per log.
 package recovery
 
 import (

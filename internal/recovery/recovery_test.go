@@ -41,20 +41,24 @@ func (f *fakeEngine) FirePendingStreamTriggers() error {
 	return nil
 }
 
+// writeLog writes recs as partition 0's log of a one-partition log set
+// under dir and returns the set's base path.
 func writeLog(t *testing.T, dir string, recs []*wal.Record) string {
 	t.Helper()
-	path := filepath.Join(dir, "cmd.log")
-	l, err := wal.Open(wal.Options{Path: path, Policy: wal.SyncEachCommit})
+	base := filepath.Join(dir, "cmd.log")
+	s, err := wal.OpenSet(wal.SetOptions{Path: base, Partitions: 1, Policy: wal.SyncEachCommit})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range recs {
-		if _, err := l.Append(r); err != nil {
+		if _, err := s.Append(0, r); err != nil {
 			t.Fatal(err)
 		}
 	}
-	l.Close()
-	return path
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return base
 }
 
 func TestShouldLog(t *testing.T) {

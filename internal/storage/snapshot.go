@@ -20,16 +20,15 @@ import (
 //	           uvarint-rowcount row*
 //	row     := tid:uvarint batch:varint staged:u8 types.Row
 //
-// The window byte is 0 (not a window), 1 (legacy window scalars:
-// filled:u8 started:u8 start:varint slides:uvarint — still decoded for
-// old snapshots), or 2 (the legacy scalars followed by the
-// time-disorder tracking [maxTS:varint maxTSSet:u8 timeDisorder:u8]
-// and the maintained aggregate accumulators: uvarint-count, then per
-// aggregate fn:u8 col:varint n:varint sumI:varint sumF:8-byte-LE
-// bestN:varint dirty:u8 best:types.Value), or 3 (archive stub: the
-// table's rows travel as a checkpointed page file, and the snapshot
-// records only uvarint-rowcount for validation — no row section
-// follows). Window deques are not
+// The window byte is 0 (not a window), 2 (a window: the scalars
+// filled:u8 started:u8 start:varint slides:uvarint, the time-disorder
+// tracking maxTS:varint maxTSSet:u8 timeDisorder:u8, and the maintained
+// aggregate accumulators: uvarint-count, then per aggregate fn:u8
+// col:varint n:varint sumI:varint sumF:8-byte-LE bestN:varint dirty:u8
+// best:types.Value), or 3 (archive stub: the table's rows travel as a
+// checkpointed page file, and the snapshot records only
+// uvarint-rowcount for validation — no row section follows). Any other
+// value, 1 included, is rejected. Window deques are not
 // encoded: rows carry their staging flags and TIDs, so the deques
 // rebuild during row restore. Aggregate accumulators also rebuild from
 // the rows; the encoded states overwrite the rebuilt ones so float
@@ -126,9 +125,9 @@ func RestoreTable(t *Table, b []byte) (int, error) {
 	if len(b) <= n {
 		return 0, fmt.Errorf("storage: truncated snapshot of %s", name)
 	}
-	windowVersion := b[n]
+	flag := b[n]
 	n++
-	if windowVersion == 3 {
+	if flag == 3 {
 		// Archive stub: rows live in the checkpoint's page file, applied
 		// afterwards by Table.ArchiveRestore; here only the expected row
 		// count and the TID counter are recorded.
@@ -147,13 +146,13 @@ func RestoreTable(t *Table, b []byte) (int, error) {
 		}
 		return n, nil
 	}
-	if windowVersion > 2 {
-		return 0, fmt.Errorf("storage: unknown window snapshot version %d of %s", windowVersion, name)
+	if flag != 0 && flag != 2 {
+		return 0, fmt.Errorf("storage: unknown snapshot flag %d of %s", flag, name)
 	}
 	var aggStates []snapshotAggState
 	var snapMaxTS int64
 	var snapMaxTSSet, snapDisorder bool
-	if windowVersion != 0 {
+	if flag == 2 {
 		if t.window == nil {
 			return 0, fmt.Errorf("storage: snapshot has window state but %s is not a window", name)
 		}
@@ -175,29 +174,22 @@ func RestoreTable(t *Table, b []byte) (int, error) {
 		n += m
 		t.window.start = start
 		t.window.slides = slides
-		if windowVersion >= 2 {
-			maxTS, m := binary.Varint(b[n:])
-			if m <= 0 {
-				return 0, fmt.Errorf("storage: truncated window maxTS of %s", name)
-			}
-			n += m
-			if len(b) < n+2 {
-				return 0, fmt.Errorf("storage: truncated window flags of %s", name)
-			}
-			snapMaxTS = maxTS
-			snapMaxTSSet = b[n] == 1
-			snapDisorder = b[n+1] == 1
-			n += 2
-			var err error
-			aggStates, m, err = decodeAggStates(b[n:], name)
-			if err != nil {
-				return 0, err
-			}
-			n += m
+		snapMaxTS, m = binary.Varint(b[n:])
+		if m <= 0 {
+			return 0, fmt.Errorf("storage: truncated window maxTS of %s", name)
 		}
-		// windowVersion == 1 is a legacy snapshot with no aggregate
-		// section: any registered aggregates keep the accumulators
-		// rebuilt from the restored rows below.
+		n += m
+		if len(b) < n+2 {
+			return 0, fmt.Errorf("storage: truncated window flags of %s", name)
+		}
+		snapMaxTSSet = b[n] == 1
+		snapDisorder = b[n+1] == 1
+		n += 2
+		aggStates, m, err = decodeAggStates(b[n:], name)
+		if err != nil {
+			return 0, err
+		}
+		n += m
 	} else if t.window != nil {
 		return 0, fmt.Errorf("storage: snapshot lacks window state for window table %s", name)
 	}
@@ -267,7 +259,7 @@ type snapshotAggState struct {
 	state aggState
 }
 
-// decodeAggStates parses the v2 aggregate section, returning the
+// decodeAggStates parses a window's aggregate section, returning the
 // states and bytes consumed.
 func decodeAggStates(b []byte, name string) ([]snapshotAggState, int, error) {
 	count, n := binary.Uvarint(b)

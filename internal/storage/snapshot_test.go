@@ -154,71 +154,28 @@ func TestSnapshotWindowRoundTripProperty(t *testing.T) {
 	}
 }
 
-// encodeLegacyWindowTable reproduces the v1 snapshot format (window
-// flag byte 1, no aggregate section) so decode stays
-// backward-compatible with checkpoints taken before maintained
-// aggregates existed.
-func encodeLegacyWindowTable(t *Table) []byte {
-	var buf []byte
-	buf = binary.AppendUvarint(buf, uint64(len(t.name)))
-	buf = append(buf, t.name...)
-	buf = binary.AppendUvarint(buf, t.nextTID)
-	buf = append(buf, 1)
-	buf = append(buf, b2u8(t.window.filled), b2u8(t.window.started))
-	buf = binary.AppendVarint(buf, t.window.start)
-	buf = binary.AppendUvarint(buf, t.window.slides)
-	buf = binary.AppendUvarint(buf, uint64(t.Len()))
-	t.ScanAll(func(meta TupleMeta, row types.Row) bool {
-		buf = binary.AppendUvarint(buf, meta.TID)
-		buf = binary.AppendVarint(buf, meta.BatchID)
-		buf = append(buf, b2u8(meta.Staged))
-		buf = types.EncodeRow(buf, row)
-		return true
-	})
-	return buf
-}
-
-// TestSnapshotLegacyWindowDecode: a pre-aggregate (v1) window image
-// still loads; registered aggregates fall back to the accumulators
-// rebuilt from the restored rows.
-func TestSnapshotLegacyWindowDecode(t *testing.T) {
-	src, _ := NewWindowTable("w", winSchema(), WindowSpec{Size: 3, Slide: 1})
-	for i := int64(0); i < 7; i++ {
-		src.Insert(winRow(i, i*2), 0, nil)
+// TestSnapshotUnknownFlagRejected: the flag byte after the TID counter
+// is 0, 2 or 3; any other value — 1 included — fails the restore.
+func TestSnapshotUnknownFlagRejected(t *testing.T) {
+	src, _ := NewWindowTable("w", winSchema(), WindowSpec{Size: 2, Slide: 1})
+	src.Insert(winRow(1, 1), 0, nil)
+	img := EncodeTable(nil, src)
+	off := 1 + len("w") + len(binary.AppendUvarint(nil, src.nextTID))
+	if img[off] != 2 {
+		t.Fatalf("window flag = %d, want 2", img[off])
 	}
-	img := encodeLegacyWindowTable(src)
-
-	dst, _ := NewWindowTable("w", winSchema(), WindowSpec{Size: 3, Slide: 1})
-	if err := dst.MaintainAggregate(AggSum, 1); err != nil {
-		t.Fatal(err)
-	}
-	n, err := RestoreTable(dst, img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != len(img) {
-		t.Errorf("consumed %d of %d bytes", n, len(img))
-	}
-	if dst.ActiveLen() != src.ActiveLen() || dst.Window().Slides() != src.Window().Slides() {
-		t.Errorf("restored window: active=%d slides=%d, want %d/%d",
-			dst.ActiveLen(), dst.Window().Slides(), src.ActiveLen(), src.Window().Slides())
-	}
-	got, ok := dst.MaintainedAggregate(AggSum, 1)
-	if !ok || !got.Equal(scanAgg(dst, AggSum)) {
-		t.Errorf("legacy restore SUM = %v, want %v", got, scanAgg(dst, AggSum))
-	}
-	// The restored window keeps sliding.
-	res, err := dst.Insert(winRow(7, 14), 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Slid {
-		t.Error("restored window should slide on the next insert")
+	for _, flag := range []byte{1, 4, 255} {
+		bad := append([]byte(nil), img...)
+		bad[off] = flag
+		dst, _ := NewWindowTable("w", winSchema(), WindowSpec{Size: 2, Slide: 1})
+		if _, err := RestoreTable(dst, bad); err == nil {
+			t.Errorf("flag %d decoded without error", flag)
+		}
 	}
 }
 
 // TestSnapshotAggregateRoundTrip: maintained accumulators — including
-// an order-sensitive float sum — come back bit-for-bit from a v2
+// an order-sensitive float sum — come back bit-for-bit from a window
 // image, and a window restored mid-rescan-debt behaves correctly.
 func TestSnapshotAggregateRoundTrip(t *testing.T) {
 	schema := types.MustSchema(
@@ -306,7 +263,7 @@ func TestSnapshotHugeAggregateCountRejected(t *testing.T) {
 // TestSnapshotCarriesDisorderFlag: snapshot row order is t.order,
 // which rollback-past-compaction can permute away from TID order — so
 // restore cannot re-derive time-disorder from row sequence alone. The
-// v2 image must carry the flag itself.
+// window image must carry the flag itself.
 func TestSnapshotCarriesDisorderFlag(t *testing.T) {
 	src, _ := NewWindowTable("w", winSchema(), WindowSpec{TimeBased: true, Size: 10, Slide: 5, TimeColumn: 0})
 	src.Insert(winRow(0, 0), 0, nil)

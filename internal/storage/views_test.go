@@ -276,9 +276,12 @@ func TestViewConcurrentPinsAndWrites(t *testing.T) {
 				}
 				n := rowCount(t, got)
 				release()
+				// Read the epoch before Close: a closed view is recycled
+				// and the next Pin overwrites it.
+				epoch := rv.Epoch()
 				rv.Close()
-				if uint64(n) > rv.Epoch() {
-					t.Errorf("view at epoch %d saw %d rows", rv.Epoch(), n)
+				if uint64(n) > epoch {
+					t.Errorf("view at epoch %d saw %d rows", epoch, n)
 					return
 				}
 			}

@@ -514,13 +514,13 @@ func (l *Logger) CompactBefore(keepAfter uint64) error {
 				return fmt.Errorf("wal: drop segment: %w", err)
 			}
 		case first <= keepAfter:
-			if _, err := compactFile(s.path, keepAfter, true); err != nil {
+			if err := compactFile(s.path, keepAfter, true); err != nil {
 				return err
 			}
 		}
 	}
 	active := segPath(l.opts.Path, l.segIdx)
-	if _, err := compactFile(active, keepAfter, false); err != nil {
+	if err := compactFile(active, keepAfter, false); err != nil {
 		return err
 	}
 	// Reopen the (renamed-over) active file for appends.
@@ -571,23 +571,21 @@ func segmentLSNRange(path string) (first, last uint64, err error) {
 // keepAfter, streaming record by record. The rewrite is atomic and
 // durable (write-temp, sync, rename) — the kept records are committed
 // transactions not covered by any checkpoint, so a crash around the
-// rename must never lose them. It returns how many records were kept.
-// sealed selects the strict read mode: rewriting a sealed segment must
+// rename must never lose them. sealed selects the strict read mode: rewriting a sealed segment must
 // fail on a malformed record instead of truncating at it.
-func compactFile(path string, keepAfter uint64, sealed bool) (int, error) {
+func compactFile(path string, keepAfter uint64, sealed bool) error {
 	r, err := openSegment(path, sealed)
 	if err != nil {
-		return 0, fmt.Errorf("wal: compact read: %w", err)
+		return fmt.Errorf("wal: compact read: %w", err)
 	}
 	tmp := path + ".compact"
 	out, err := os.Create(tmp)
 	if err != nil {
 		r.Close()
-		return 0, fmt.Errorf("wal: compact write: %w", err)
+		return fmt.Errorf("wal: compact write: %w", err)
 	}
 	bw := bufio.NewWriterSize(out, 1<<16)
 	var scratch []byte
-	kept := 0
 	for {
 		rec, err := r.Next()
 		if err == io.EOF {
@@ -596,7 +594,7 @@ func compactFile(path string, keepAfter uint64, sealed bool) (int, error) {
 		if err != nil {
 			r.Close()
 			out.Close()
-			return 0, fmt.Errorf("wal: compact read: %w", err)
+			return fmt.Errorf("wal: compact read: %w", err)
 		}
 		if rec.LSN <= keepAfter {
 			continue
@@ -605,26 +603,25 @@ func compactFile(path string, keepAfter uint64, sealed bool) (int, error) {
 		if _, err := bw.Write(scratch); err != nil {
 			r.Close()
 			out.Close()
-			return 0, fmt.Errorf("wal: compact write: %w", err)
+			return fmt.Errorf("wal: compact write: %w", err)
 		}
-		kept++
 	}
 	r.Close()
 	if err := bw.Flush(); err != nil {
 		out.Close()
-		return 0, fmt.Errorf("wal: compact flush: %w", err)
+		return fmt.Errorf("wal: compact flush: %w", err)
 	}
 	if err := out.Sync(); err != nil {
 		out.Close()
-		return 0, fmt.Errorf("wal: compact sync: %w", err)
+		return fmt.Errorf("wal: compact sync: %w", err)
 	}
 	if err := out.Close(); err != nil {
-		return 0, fmt.Errorf("wal: compact close: %w", err)
+		return fmt.Errorf("wal: compact close: %w", err)
 	}
 	if err := os.Rename(tmp, path); err != nil {
-		return 0, fmt.Errorf("wal: compact rename: %w", err)
+		return fmt.Errorf("wal: compact rename: %w", err)
 	}
-	return kept, nil
+	return nil
 }
 
 // Reader streams records out of a log one frame at a time, so replay

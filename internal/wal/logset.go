@@ -19,7 +19,6 @@ import (
 // from one lock-free global commit sequence, so the per-partition
 // files merge back into total commit order for strong recovery.
 type LogSet struct {
-	base    string
 	loggers []*Logger
 	// byPid maps a global partition ID to its logger; on a cluster
 	// node the set covers only the node's own partitions (the sparse
@@ -32,9 +31,7 @@ type LogSet struct {
 type SetOptions struct {
 	// Path is the log location: an existing directory (partition logs
 	// become <dir>/cmd-p<N>.log) or a file-name prefix (partition
-	// logs become <path>.p<N>). A legacy unsharded log at exactly
-	// <path> is still read by the set readers below, so pre-shard
-	// logs remain replayable.
+	// logs become <path>.p<N>).
 	Path string
 	// Partitions is the number of per-partition logs.
 	Partitions int
@@ -76,7 +73,7 @@ func OpenSet(opts SetOptions) (*LogSet, error) {
 			pids[i] = i
 		}
 	}
-	s := &LogSet{base: opts.Path, byPid: make(map[int]*Logger, len(pids))}
+	s := &LogSet{byPid: make(map[int]*Logger, len(pids))}
 	for _, pid := range pids {
 		l, err := Open(Options{
 			Path:         PartitionPath(opts.Path, pid),
@@ -168,28 +165,6 @@ func (s *LogSet) CompactBefore(keepAfter uint64) error {
 			return err
 		}
 	}
-	return compactLegacy(s.base, keepAfter)
-}
-
-// compactLegacy prunes a pre-shard unsharded log sitting at exactly
-// the base path: the set never writes to it, but its records are
-// re-read (and filtered) by every recovery until a checkpoint renders
-// them obsolete. Fully-obsolete legacy logs are deleted outright.
-func compactLegacy(base string, keepAfter uint64) error {
-	st, err := os.Stat(base)
-	if err != nil || !st.Mode().IsRegular() {
-		return nil // no legacy log (or base is the shard directory)
-	}
-	kept, err := compactFile(base, keepAfter, false)
-	if err != nil {
-		return err
-	}
-	if kept == 0 {
-		// Fully obsolete: the stamp covers every legacy record.
-		if err := os.Remove(base); err != nil {
-			return fmt.Errorf("wal: compact legacy: %w", err)
-		}
-	}
 	return nil
 }
 
@@ -228,8 +203,7 @@ func shardSeg(rest string) (pid int, ok bool) {
 }
 
 // SetPaths lists the per-shard log base paths under base in partition
-// order: a legacy unsharded log at exactly base (if present) first,
-// then every cmd-p<N>.log / <base>.p<N> shard. A shard rotated into
+// order: every cmd-p<N>.log / <base>.p<N> shard. A shard rotated into
 // segments is recognized by its <shard>.s<k> files and listed once, by
 // its base path — OpenReader chains the segments back into one stream,
 // even when the base file itself aged out. Shards that were never
@@ -237,7 +211,6 @@ func shardSeg(rest string) (pid int, ok bool) {
 // listing plus prefix check), so a base containing glob metacharacters
 // lists its shards correctly.
 func SetPaths(base string) ([]string, error) {
-	var paths []string
 	pids := make(map[int]bool)
 	shardBase := func(pid int) string { return fmt.Sprintf("%s.p%d", base, pid) }
 	if st, err := os.Stat(base); err == nil && st.IsDir() {
@@ -271,26 +244,15 @@ func SetPaths(base string) ([]string, error) {
 			return filepath.Join(base, fmt.Sprintf("cmd-p%d.log", pid))
 		}
 	} else {
-		legacy := err == nil && st.Mode().IsRegular()
 		ents, err := os.ReadDir(filepath.Dir(base))
 		if err != nil {
 			if os.IsNotExist(err) {
-				if legacy {
-					paths = append(paths, base)
-				}
-				return paths, nil
+				return nil, nil
 			}
 			return nil, fmt.Errorf("wal: list logs: %w", err)
 		}
 		name := filepath.Base(base)
 		for _, ent := range ents {
-			// A rotation segment of the legacy unsharded log.
-			if rest, ok := strings.CutPrefix(ent.Name(), name+".s"); ok {
-				if k, err := strconv.Atoi(rest); err == nil && k > 0 {
-					legacy = true
-				}
-				continue
-			}
 			rest, ok := strings.CutPrefix(ent.Name(), name+".p")
 			if !ok {
 				continue
@@ -299,15 +261,13 @@ func SetPaths(base string) ([]string, error) {
 				pids[pid] = true
 			}
 		}
-		if legacy {
-			paths = append(paths, base)
-		}
 	}
 	order := make([]int, 0, len(pids))
 	for pid := range pids {
 		order = append(order, pid)
 	}
 	sort.Ints(order)
+	var paths []string
 	for _, pid := range order {
 		paths = append(paths, shardBase(pid))
 	}

@@ -85,28 +85,6 @@ func TestLogSetPrefixLayout(t *testing.T) {
 	}
 }
 
-func TestReadSetLegacySingleFile(t *testing.T) {
-	// A pre-shard log written at exactly the base path is still
-	// replayable alongside (or without) shards.
-	base := filepath.Join(t.TempDir(), "cmd.log")
-	l, err := Open(Options{Path: base, Policy: SyncEachCommit})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := int64(1); i <= 4; i++ {
-		l.Append(testRecord(KindBorder, "Old", i))
-	}
-	l.Close()
-	merged, err := ReadSetMerged(base)
-	if err != nil || len(merged) != 4 {
-		t.Fatalf("legacy merged = %d records (%v)", len(merged), err)
-	}
-	paths, err := SetPaths(base)
-	if err != nil || len(paths) != 1 || paths[0] != base {
-		t.Fatalf("legacy paths = %v (%v)", paths, err)
-	}
-}
-
 func TestLogSetTornTailsIndependent(t *testing.T) {
 	// Torn tails on two different partition logs are dropped
 	// independently: each log loses only its own tail.
@@ -205,43 +183,6 @@ func TestGroupCommitFlushesImmediatelyWhenDue(t *testing.T) {
 			t.Errorf("Append returned before LSN %d was durable (durable %d)", lsn, got)
 		}
 		time.Sleep(20 * time.Millisecond) // idle between appends
-	}
-}
-
-func TestCompactBeforePrunesLegacyLog(t *testing.T) {
-	// A pre-shard log at the base path is read-only to the set, but a
-	// checkpoint must still prune it: once the stamp covers its
-	// records they would otherwise be re-read and filtered on every
-	// recovery forever.
-	base := filepath.Join(t.TempDir(), "cmd.log")
-	l, err := Open(Options{Path: base, Policy: SyncEachCommit})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := int64(1); i <= 3; i++ {
-		l.Append(testRecord(KindOLTP, "Old", i))
-	}
-	l.Close()
-
-	s, err := OpenSet(SetOptions{Path: base, Partitions: 2, Policy: SyncEachCommit})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	s.SetNextSeq(4) // continue past the legacy records
-	s.Append(0, testRecord(KindOLTP, "New", 4))
-	s.Append(1, testRecord(KindOLTP, "New", 5))
-
-	// Stamp covers the legacy records and one shard record.
-	if err := s.CompactBefore(4); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(base); !os.IsNotExist(err) {
-		t.Errorf("fully-obsolete legacy log should be deleted, stat err = %v", err)
-	}
-	merged, err := ReadSetMerged(base)
-	if err != nil || len(merged) != 1 || merged[0].LSN != 5 {
-		t.Fatalf("after compaction: %v (%v), want only LSN 5", merged, err)
 	}
 }
 

@@ -25,8 +25,9 @@ const snapshotMagic = "SSSN"
 
 // WriteSnapshot atomically writes a checkpoint of the given tables,
 // recording the LSN of the last command-log record already reflected
-// in it. It writes to a temp file and renames, so a crash mid-snapshot
-// leaves the previous checkpoint intact.
+// in it. It writes and syncs a temp file, then renames it, so a crash
+// mid-snapshot leaves the previous checkpoint intact; the rename itself
+// becomes durable when WriteSnapshotManifest syncs the directory.
 func WriteSnapshot(path string, lastLSN uint64, tables []*storage.Table) error {
 	buf := []byte(snapshotMagic)
 	buf = binary.LittleEndian.AppendUint64(buf, lastLSN)
@@ -39,7 +40,7 @@ func WriteSnapshot(path string, lastLSN uint64, tables []*storage.Table) error {
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf[len(snapshotMagic):], crcTable))
 
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
+	if err := writeSynced(tmp, buf); err != nil {
 		return fmt.Errorf("wal: snapshot write: %w", err)
 	}
 	if err := os.Rename(tmp, path); err != nil {
@@ -48,16 +49,47 @@ func WriteSnapshot(path string, lastLSN uint64, tables []*storage.Table) error {
 	return nil
 }
 
+// snapshotSync fsyncs one checkpoint file or directory. Tests replace
+// it to observe the order of syncs and renames.
+var snapshotSync = (*os.File).Sync
+
+// writeSynced writes data to a new file at path and syncs it.
+func writeSynced(path string, data []byte) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(data); err != nil {
+		f.Close()
+		return err
+	}
+	if err := snapshotSync(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// syncDir fsyncs a directory, making the renames into it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	if err := snapshotSync(d); err != nil {
+		d.Close()
+		return err
+	}
+	return d.Close()
+}
+
 // LoadSnapshot restores a checkpoint into the catalog's existing
-// tables (matched by name) and returns the checkpoint's lastLSN.
-// A missing file is not an error: it returns lastLSN 0, meaning
-// "replay the whole log".
+// tables (matched by name) and returns the checkpoint's lastLSN. A
+// missing file is an error: callers load only files a committed
+// manifest names.
 func LoadSnapshot(path string, lookup func(name string) (*storage.Table, bool)) (uint64, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return 0, nil
-		}
 		return 0, fmt.Errorf("wal: snapshot read: %w", err)
 	}
 	if len(data) < len(snapshotMagic)+8+4 || string(data[:len(snapshotMagic)]) != snapshotMagic {
@@ -111,33 +143,30 @@ const manifestName = "snapshot.manifest"
 const manifestMagic = "SSMF"
 
 // WriteSnapshotManifest atomically and durably commits stamp as the
-// snapshot generation in dir.
+// snapshot generation in dir. The directory is synced before the
+// manifest rename, so every generation file renamed or written into it
+// is durable before the manifest can name it, and again after, so the
+// commit is durable before the caller compacts the log behind it.
 func WriteSnapshotManifest(dir string, stamp uint64) error {
 	tmp := filepath.Join(dir, manifestName+".tmp")
-	f, err := os.Create(tmp)
-	if err != nil {
+	if err := writeSynced(tmp, fmt.Appendf(nil, "%s %d\n", manifestMagic, stamp)); err != nil {
 		return fmt.Errorf("wal: manifest: %w", err)
 	}
-	if _, err := fmt.Fprintf(f, "%s %d\n", manifestMagic, stamp); err != nil {
-		f.Close()
-		return fmt.Errorf("wal: manifest: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("wal: manifest: %w", err)
-	}
-	if err := f.Close(); err != nil {
+	if err := syncDir(dir); err != nil {
 		return fmt.Errorf("wal: manifest: %w", err)
 	}
 	if err := os.Rename(tmp, filepath.Join(dir, manifestName)); err != nil {
+		return fmt.Errorf("wal: manifest: %w", err)
+	}
+	if err := syncDir(dir); err != nil {
 		return fmt.Errorf("wal: manifest: %w", err)
 	}
 	return nil
 }
 
 // ReadSnapshotManifest returns the committed generation stamp;
-// ok=false means no manifest exists (pre-manifest checkpoints, loaded
-// from the legacy plain snapshot files).
+// ok=false means no manifest exists, so no checkpoint was ever
+// committed in dir.
 func ReadSnapshotManifest(dir string) (stamp uint64, ok bool, err error) {
 	data, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {

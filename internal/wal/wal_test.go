@@ -1,8 +1,11 @@
 package wal
 
 import (
+	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -216,10 +219,14 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSnapshotMissingFile: a missing snapshot file is an error, never
+// an empty checkpoint — callers load only files a committed manifest
+// names, so a missing one is damage.
 func TestSnapshotMissingFile(t *testing.T) {
-	lsn, err := LoadSnapshot(filepath.Join(t.TempDir(), "none"), func(string) (*storage.Table, bool) { return nil, false })
-	if err != nil || lsn != 0 {
-		t.Errorf("missing snapshot: %d, %v", lsn, err)
+	path := filepath.Join(t.TempDir(), "none")
+	_, err := LoadSnapshot(path, func(string) (*storage.Table, bool) { return nil, false })
+	if !errors.Is(err, fs.ErrNotExist) || !strings.Contains(err.Error(), path) {
+		t.Errorf("missing snapshot: err = %v, want a not-exist error naming %s", err, path)
 	}
 }
 

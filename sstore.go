@@ -141,89 +141,10 @@ const (
 	SyncNone = wal.SyncNone
 )
 
-// Config configures an engine. The zero value is a single-partition,
-// no-logging, no-network-simulation engine suitable for tests and
-// embedded use.
-type Config struct {
-	// Partitions is the number of execution sites (default 1). Each
-	// runs transactions serially on its slice of the data.
-	Partitions int
-	// ClientRTT simulates client↔engine network latency per Call.
-	ClientRTT time.Duration
-	// EEDispatch simulates the PE→EE boundary cost per SQL statement
-	// issued from a stored procedure.
-	EEDispatch time.Duration
-	// Recovery selects the logging/recovery scheme; non-None
-	// requires LogPath.
-	Recovery RecoveryMode
-	// LogPath locates the command log, which is sharded one file per
-	// partition: an existing directory holds <dir>/cmd-p<N>.log, any
-	// other path serves as a file-name prefix (<path>.p<N>). A legacy
-	// unsharded log at exactly <path> is still replayed. See
-	// DESIGN.md §5.
-	LogPath string
-	// LogPolicy selects commit durability (default SyncEachCommit).
-	LogPolicy SyncPolicy
-	// LogSegmentBytes rotates each partition's log into sealed
-	// segments of roughly this size (aged out O(1) at checkpoint
-	// truncation); zero keeps one file per partition.
-	LogSegmentBytes int64
-	// SnapshotDir is where checkpoints live.
-	SnapshotDir string
-	// PartitionBy routes batches to partitions — both ingested
-	// (border) batches and interior batches produced by committing
-	// TEs, which relocate to their routed partition so workflows fan
-	// out across partitions. Partition by a key every tuple of a
-	// batch shares; the function must be pure. See DESIGN.md §3.
-	PartitionBy func(streamName string, batch []Row) int
-	// RouteCall routes OLTP calls to partitions.
-	RouteCall func(sp string, params Row) int
-	// MaxQueueDepth, when positive, bounds each partition's scheduler
-	// queue at the border: Call and Ingest reject with an error
-	// matching ErrOverloaded (carrying a retry-after hint, see
-	// RetryAfter) once the target partition's queue is full. Interior
-	// workflow dispatch is never blocked, so the bound cannot
-	// deadlock. Zero means unbounded.
-	MaxQueueDepth int
-	// Workers, when > 1, arms each partition with a worker pool: the
-	// partition loop becomes a conflict-aware dispatcher that runs
-	// the bodies of queued non-conflicting stored procedures
-	// concurrently (by declared access sets, see
-	// RegisterProcAccess) while commits, logging, and triggers
-	// retire in admission order — externally indistinguishable from
-	// serial execution, including the command log and recovery.
-	// Procedures without a declared access set always run serially.
-	// See DESIGN.md §11.
-	Workers int
-	// Cluster, when set, makes this engine one node of a multi-node
-	// deployment: the map fixes the cluster-wide partition space
-	// (overriding Partitions), this node runs only the partitions the
-	// map assigns to NodeID, and committing transactions hand
-	// relocated interior batches to partitions on other nodes over
-	// peer connections, exactly-once. Requests routed to a partition
-	// another node owns fail with an error naming the owner, which
-	// the server layer forwards transparently. Every node keeps its
-	// own command log and snapshots, so recovery is node-local. See
-	// DESIGN.md §13.
-	Cluster *ClusterConfig
-	// NodeID is this node's ID in the Cluster map.
-	NodeID int
-	// CheckpointEveryBytes, when positive, takes a checkpoint (and
-	// compacts the command log) automatically after roughly this many
-	// bytes of new log; requires SnapshotDir. Zero leaves
-	// checkpointing manual.
-	CheckpointEveryBytes int64
-	// ArchiveDir is where archive tables (CREATE ARCHIVE TABLE) keep
-	// their disk-backed page files. Empty auto-creates a temporary
-	// directory removed on Close. The files are working state, not a
-	// durability artifact: recovery rebuilds them from the latest
-	// checkpoint generation plus the command log. See DESIGN.md §14.
-	ArchiveDir string
-	// ArchiveMemoryBudget caps the buffer-pool memory archive tables
-	// share (bytes, split across partitions); rows beyond it spill to
-	// disk and read back on demand. Zero picks a small default.
-	ArchiveMemoryBudget int64
-}
+// Config configures an engine; see pe.Options for the fields. The zero
+// value is a single-partition, no-logging, no-network-simulation
+// engine suitable for tests and embedded use.
+type Config = pe.Options
 
 // ClusterConfig is a static cluster map: node ID → address → the
 // partitions the node owns. Build one with ParseCluster (the textual
@@ -270,25 +191,7 @@ type Stats = pe.Stats
 
 // Open builds and starts an engine.
 func Open(cfg Config) (*Engine, error) {
-	inner, err := pe.NewEngine(pe.Options{
-		Partitions:           cfg.Partitions,
-		ClientRTT:            cfg.ClientRTT,
-		EEDispatch:           cfg.EEDispatch,
-		Recovery:             cfg.Recovery,
-		LogPath:              cfg.LogPath,
-		LogPolicy:            cfg.LogPolicy,
-		LogSegmentBytes:      cfg.LogSegmentBytes,
-		SnapshotDir:          cfg.SnapshotDir,
-		PartitionBy:          cfg.PartitionBy,
-		RouteCall:            cfg.RouteCall,
-		MaxQueueDepth:        cfg.MaxQueueDepth,
-		Workers:              cfg.Workers,
-		Cluster:              cfg.Cluster,
-		NodeID:               cfg.NodeID,
-		CheckpointEveryBytes: cfg.CheckpointEveryBytes,
-		ArchiveDir:           cfg.ArchiveDir,
-		ArchiveMemoryBudget:  cfg.ArchiveMemoryBudget,
-	})
+	inner, err := pe.NewEngine(cfg)
 	if err != nil {
 		return nil, err
 	}
