@@ -11,7 +11,7 @@ import (
 
 // runClientBench drives a running sstore-server (-app pipeline) over
 // TCP: conns connections, one sensor per connection so each
-// connection's batches land on their own exactly-once ledger shard,
+// connection's batches land on their own partition's ledger,
 // batches atomic batches each with up to window in flight. After every
 // border commit is acknowledged it quiesces the server (Drain) and
 // verifies exactly-once results through Report: each sensor must have

@@ -1,5 +1,5 @@
 // Command sstore-lint runs the engine's invariant suite — replaydet,
-// lockorder, hotalloc, errdrop, allocgate — over the module and prints
+// lockorder, hotalloc, errdrop, allocgate, replyexit — over the module and prints
 // findings in the usual file:line:col form. It exits non-zero when any
 // diagnostic survives suppression, so CI can gate on it:
 //
@@ -27,6 +27,7 @@ var suite = []*analysis.Analyzer{
 	analysis.HotAlloc,
 	analysis.ErrDrop,
 	analysis.AllocGate,
+	analysis.ReplyExit,
 }
 
 func main() {

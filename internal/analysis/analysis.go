@@ -1,7 +1,7 @@
 // Package analysis is the engine's invariant suite: a small,
 // dependency-free reimplementation of the golang.org/x/tools/go/analysis
 // surface (the container image builds offline, so the x/tools module is
-// unavailable) plus four engine-specific analyzers that lock down the
+// unavailable) plus six engine-specific analyzers that lock down the
 // invariants S-Store's recovery guarantee rests on:
 //
 //   - replaydet: code reachable from the replay/commit/trigger entry
@@ -18,6 +18,9 @@
 //     //sstore:allocgate-marked testing.AllocsPerRun gate (and vice
 //     versa), so the static annotation and the runtime budget can't
 //     drift apart.
+//   - replyexit: a TE's reply value may be sent only from the
+//     partition's release path, so pipelined group commit can hold
+//     every reply until the log is durable.
 //
 // Annotation conventions (documented in DESIGN.md §10):
 //

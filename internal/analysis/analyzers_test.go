@@ -58,6 +58,13 @@ func TestAllocGateFixture(t *testing.T) {
 	RunFixture(t, "testdata/allocgate", AllocGate)
 }
 
+func TestReplyExitFixture(t *testing.T) {
+	RunFixture(t, "testdata/replyexit", NewReplyExit(ReplyExitConfig{
+		Elem:    "reply.result",
+		Senders: map[string]bool{"reply.site.replyTo": true},
+	}))
+}
+
 func TestErrDropFixture(t *testing.T) {
 	RunFixture(t, "testdata/errdrop", NewErrDrop(ErrDropConfig{
 		MustUse: map[string]string{

@@ -14,7 +14,7 @@ func TestSelfLint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loading module: %v", err)
 	}
-	diags := Run(prog, []*Analyzer{ReplayDet, LockOrder, HotAlloc, ErrDrop, AllocGate})
+	diags := Run(prog, []*Analyzer{ReplayDet, LockOrder, HotAlloc, ErrDrop, AllocGate, ReplyExit})
 	for _, d := range diags {
 		t.Errorf("%s", d)
 	}

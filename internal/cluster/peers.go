@@ -53,7 +53,6 @@ type outstanding struct {
 // peer is the connection state for one remote node.
 type peer struct {
 	node Node
-	ps   *Peers
 
 	mu      sync.Mutex
 	conn    net.Conn
@@ -82,7 +81,6 @@ func NewPeers(cfg *Config, self int) (*Peers, error) {
 		}
 		p := &peer{
 			node:    n,
-			ps:      ps,
 			pending: make(map[uint64]*outstanding),
 			stopc:   make(chan struct{}),
 		}

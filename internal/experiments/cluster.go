@@ -24,8 +24,8 @@ import (
 // real sstore-server processes, comparing a single 4-partition process
 // with the same four partitions split across 2 and 4 node processes.
 // Both streams route by x-way, so the workload is shared-nothing: each
-// node runs its expressways' full workflow on its own partitions, log,
-// and ledger shards, and adding processes adds real OS-level
+// node runs its expressways' full workflow on its own partitions, logs
+// and ledgers, and adding processes adds real OS-level
 // parallelism (separate runtimes, separate allocators) at the price of
 // per-node client connections.
 //

@@ -62,7 +62,7 @@ func NetBench(opts Options) (*benchutil.Table, error) {
 
 // netPipelineEngine builds the served pipeline app with one partition
 // per connection, so each connection's sensor routes to its own
-// partition — and its own exactly-once ledger shard.
+// partition — and that partition's exactly-once ledger.
 func netPipelineEngine(conns int) (*pe.Engine, error) {
 	app := server.PipelineApp()
 	eng, err := pe.NewEngine(pe.Options{

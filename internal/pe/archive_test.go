@@ -135,9 +135,9 @@ func TestArchiveTempDirRemovedOnClose(t *testing.T) {
 		e.Close()
 		t.Fatal(err)
 	}
-	tmp := e.archDir
-	if tmp == "" || !e.archTmp {
-		t.Fatalf("auto temp dir not created (dir=%q tmp=%v)", tmp, e.archTmp)
+	tmp := e.archTmp
+	if tmp == "" {
+		t.Fatal("auto temp dir not created")
 	}
 	if _, err := os.Stat(filepath.Join(tmp, "archive.p0.a.pages")); err != nil {
 		t.Fatalf("page file missing: %v", err)

@@ -92,7 +92,7 @@ func TestBorderAbortReleasesAdmission(t *testing.T) {
 
 // TestBorderAbortReleasesAdmissionOnRoutedPartition repeats the
 // regression with the batch routed off partition 0: the admission
-// lives on the routed partition's ledger shard and must be released
+// lives on the routed partition's ledger and must be released
 // there.
 func TestBorderAbortReleasesAdmissionOnRoutedPartition(t *testing.T) {
 	e := newEngine(t, Options{

@@ -1,22 +1,17 @@
 package pe
 
 import (
-	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"sstore/internal/bufferpool"
 	"sstore/internal/cluster"
 	"sstore/internal/ee"
 	"sstore/internal/netsim"
 	"sstore/internal/recovery"
 	"sstore/internal/storage"
-	"sstore/internal/stream"
 	"sstore/internal/types"
 	"sstore/internal/wal"
 	"sstore/internal/workflow"
@@ -66,8 +61,9 @@ type Options struct {
 	// age out whole files O(1) instead of rewriting the log. Zero
 	// keeps one file per partition. See DESIGN.md §12.
 	LogSegmentBytes int64
-	// SnapshotDir is where checkpoints are written (one file per
-	// partition).
+	// SnapshotDir is where checkpoints are written: each checkpoint is
+	// a generation of one snapshot file per partition plus a copy of
+	// every archive page file, committed by a manifest.
 	SnapshotDir string
 	// PartitionBy routes a batch to a partition; defaults to
 	// partition 0. It is consulted both for ingested (border) batches
@@ -106,8 +102,8 @@ type Options struct {
 	CheckpointEveryBytes int64
 	// MaxQueueDepth, when positive, bounds each partition's scheduler
 	// queue at the border: client Calls and ingested batches are
-	// rejected with an OverloadedError (wrapping ErrOverloaded, with a
-	// retry-after hint) once the target partition's queue reaches the
+	// rejected with an error matching ErrOverloaded that carries a
+	// retry-after hint once the target partition's queue reaches the
 	// bound. Interior work — PE-triggered TEs and batches routed
 	// across partitions by committing TEs — is never blocked or
 	// rejected, so cross-partition dispatch cannot deadlock even at
@@ -128,53 +124,6 @@ type Options struct {
 	// file and is read back through the pool on demand. Zero means a
 	// small default per partition.
 	ArchiveMemoryBudget int64
-}
-
-// ErrOverloaded is the sentinel matched by errors.Is when a border
-// submission is rejected because the target partition's queue is at
-// MaxQueueDepth. The concrete error is an *OverloadedError carrying a
-// retry-after hint.
-var ErrOverloaded = errors.New("pe: overloaded")
-
-// OverloadedError reports a border rejection under queue-depth
-// backpressure. The admission side effects of the rejected submission
-// are fully undone (an ingested batch's exactly-once admission is
-// released), so retrying the identical request after RetryAfter is
-// legal — provided the injector retries before admitting later batch
-// IDs on the same (stream, partition): the exactly-once ledger is a
-// high-water mark and cannot regress below a later admission.
-type OverloadedError struct {
-	// Partition is the partition whose queue was full.
-	Partition int
-	// Depth is the queue depth observed at rejection time.
-	Depth int
-	// RetryAfter is a hint for how long the client should wait before
-	// retrying — an estimate of the time the partition needs to drain
-	// enough of its queue, not a guarantee.
-	RetryAfter time.Duration
-}
-
-func (e *OverloadedError) Error() string {
-	return fmt.Sprintf("pe: partition %d overloaded (queue depth %d); retry after %v",
-		e.Partition, e.Depth, e.RetryAfter)
-}
-
-// Is makes errors.Is(err, ErrOverloaded) match.
-func (e *OverloadedError) Is(target error) bool { return target == ErrOverloaded }
-
-// retryAfterHint estimates a backoff for a border rejection from the
-// observed queue depth: roughly the time a partition takes to drain
-// half the queue at typical in-memory TE cost, clamped to keep retries
-// responsive under light overload and polite under heavy.
-func retryAfterHint(depth int) time.Duration {
-	d := time.Duration(depth) * 25 * time.Microsecond
-	if d < time.Millisecond {
-		d = time.Millisecond
-	}
-	if d > 50*time.Millisecond {
-		d = 50 * time.Millisecond
-	}
-	return d
 }
 
 // Engine is a single-node S-Store instance: partitions, stored
@@ -201,22 +150,14 @@ type Engine struct {
 	workflows map[string]*workflow.Workflow
 	consumers map[string][]string // stream (lower-case) → PE-triggered SPs
 	spInput   map[string]string   // sp → input stream (lower-case)
-	spBorder  map[string]bool
 	// borderBy maps each border stream (lower-case) to its one
 	// consuming border SP. DeployWorkflow populates it and rejects a
-	// second border SP on the same stream — previously borderConsumer
-	// iterated the workflows map and the winner was nondeterministic
-	// per process.
+	// second border SP on the same stream.
 	borderBy map[string]borderReg
 
 	// logs is the sharded command log, one file per partition with a
 	// shared global commit sequence; nil when logging is off.
 	logs *wal.LogSet
-	// dedup is the exactly-once ingestion ledger, sharded one per
-	// partition: a batch's admission lives on the partition the batch
-	// routes to, so ingestion to different partitions never contends
-	// and the ledger moves with the data.
-	dedup *stream.ShardedDedup
 	// idle counts queued plus in-flight tasks engine-wide; Drain
 	// blocks on it reaching zero.
 	idle *quiesce
@@ -246,14 +187,11 @@ type Engine struct {
 	ckptStop  chan struct{}
 	ckptDone  chan struct{}
 
-	// archMu guards lazy archive-site materialization: CREATE ARCHIVE
-	// TABLE runs on partition goroutines, and the first one on each
-	// partition races the others for the shared page-file directory.
-	// archDir is the resolved directory, archTmp whether Close should
-	// remove it (auto-created because Options.ArchiveDir was empty).
-	archMu  sync.Mutex
-	archDir string
-	archTmp bool
+	// archDir resolves the archive page-file directory the partitions
+	// share, once, on the first CREATE ARCHIVE TABLE anywhere; archTmp
+	// is the directory Close removes when it was auto-created.
+	archDir func() (string, error)
+	archTmp string
 
 	link     *netsim.Link
 	boundary *netsim.Boundary
@@ -297,14 +235,10 @@ func NewEngine(opts Options) (*Engine, error) {
 		workflows: make(map[string]*workflow.Workflow),
 		consumers: make(map[string][]string),
 		spInput:   make(map[string]string),
-		spBorder:  make(map[string]bool),
 		borderBy:  make(map[string]borderReg),
-		// The ledger is sharded by global partition ID: a cross-node
-		// hand-off admits on the receiving node's shard for the target
-		// partition, the same keying a single-node engine uses.
-		dedup: stream.NewShardedDedup(opts.Partitions),
-		idle:  newQuiesce(),
+		idle:      newQuiesce(),
 	}
+	e.archDir = sync.OnceValues(e.resolveArchiveDir)
 	e.peTriggersOn.Store(true)
 	e.loggingOn.Store(true)
 	if opts.ClientRTT > 0 {
@@ -330,18 +264,12 @@ func NewEngine(opts Options) (*Engine, error) {
 		p := newPartition(pid, e)
 		p.sched.track = e.idle
 		p.sched.bound = opts.MaxQueueDepth
-		p.cat.SetArchiveProvider(func() (*storage.ArchiveSite, error) {
-			return e.archiveSite(p, len(localPids))
-		})
+		p.cat.SetArchiveProvider(p.archiveSite)
 		if opts.Workers > 1 {
 			p.startWorkers(opts.Workers)
 		}
 		if e.logs != nil {
-			p.log = e.logs.Logger(pid)
-			if opts.LogPolicy == wal.SyncGroup {
-				p.release = &releaseQueue{}
-				p.log.OnDurable(p.release.release)
-			}
+			p.attachLog(e.logs.Logger(pid), opts.LogPolicy)
 		}
 		e.parts = append(e.parts, p)
 		e.byPid[pid] = p
@@ -419,23 +347,7 @@ func (e *Engine) Close() error {
 	for _, p := range e.parts {
 		<-p.done
 	}
-	var firstErr error
-	// With every partition goroutine gone, archive page files can be
-	// flushed and closed without racing table access.
-	for _, p := range e.parts {
-		for _, t := range p.cat.Tables() {
-			if !t.IsArchive() {
-				continue
-			}
-			if err := t.CloseArchive(); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-	}
-	if e.archTmp && e.archDir != "" {
-		//lint:allow errdrop -- best-effort temp-dir cleanup on shutdown
-		os.RemoveAll(e.archDir)
-	}
+	firstErr := e.closeArchives()
 	if e.logs != nil {
 		if err := e.logs.Close(); err != nil && firstErr == nil {
 			firstErr = err
@@ -603,7 +515,6 @@ func (e *Engine) DeployWorkflow(w *workflow.Workflow) error {
 	border := make(map[string]bool)
 	for _, sp := range w.Border() {
 		border[sp] = true
-		e.spBorder[sp] = true
 	}
 	for _, n := range w.Nodes() {
 		input := strings.ToLower(n.Input)
@@ -670,209 +581,6 @@ func (e *Engine) onPartition(p *partition, fn func(p *partition) error) error {
 	return (<-reply).err
 }
 
-// --- Execution ---
-
-func (e *Engine) routeCall(sp string, params types.Row) int {
-	if e.opts.RouteCall != nil {
-		return wrapPartition(e.opts.RouteCall(sp, params), e.nglobal)
-	}
-	return 0
-}
-
-// pushBorder enqueues a client-originated task (OLTP Call or ingested
-// batch) subject to the MaxQueueDepth bound, translating a full queue
-// into an *OverloadedError with a retry-after hint. Interior work never
-// goes through here.
-func (e *Engine) pushBorder(p *partition, t *task) error {
-	ok, full, depth := p.sched.PushBackBounded(t)
-	if ok {
-		return nil
-	}
-	if full {
-		e.overloaded.Add(1)
-		return &OverloadedError{Partition: p.id, Depth: depth, RetryAfter: retryAfterHint(depth)}
-	}
-	return fmt.Errorf("pe: engine closed")
-}
-
-// Call invokes a stored procedure as an OLTP transaction (pull model)
-// and waits for its result. The simulated client RTT is charged once
-// per call — exactly the round trip the paper's H-Store baseline pays
-// per workflow step (§4.2).
-func (e *Engine) Call(sp string, params types.Row) (*Result, error) {
-	res := <-e.CallAsync(sp, params)
-	return res.Res, res.Err
-}
-
-// CallResult is the outcome delivered by CallAsync.
-type CallResult struct {
-	Res *Result
-	Err error
-}
-
-// CallAsync submits an OLTP call without waiting; the channel receives
-// the outcome. The RTT is charged before queueing (request leg) — the
-// reply leg is notification-only, matching an asynchronous client.
-func (e *Engine) CallAsync(sp string, params types.Row) <-chan CallResult {
-	out := make(chan CallResult, 1)
-	if e.link != nil {
-		e.link.RoundTrip()
-	}
-	reply := make(chan callResult, 1)
-	t := getTask()
-	t.sp = sp
-	t.params = params
-	t.kind = wal.KindOLTP
-	t.reply = reply
-	pid := e.routeCall(sp, params)
-	p := e.part(pid)
-	if p == nil {
-		putTask(t)
-		out <- CallResult{Err: e.remoteErr(pid)}
-		return out
-	}
-	if err := e.pushBorder(p, t); err != nil {
-		putTask(t)
-		out <- CallResult{Err: err}
-		return out
-	}
-	go func() {
-		r := <-reply
-		out <- CallResult{Res: r.res, Err: r.err}
-	}()
-	return out
-}
-
-// NestedCall names one child of a nested transaction.
-type NestedCall struct {
-	SP     string
-	Params types.Row
-}
-
-// CallNested executes the children as one nested transaction (§2.3):
-// serial, non-interleavable, all-or-nothing.
-func (e *Engine) CallNested(children []NestedCall) (*Result, error) {
-	if len(children) == 0 {
-		return nil, fmt.Errorf("pe: nested call needs children")
-	}
-	if e.link != nil {
-		e.link.RoundTrip()
-	}
-	nested := make([]nestedChild, len(children))
-	for i, c := range children {
-		nested[i] = nestedChild{sp: c.SP, params: c.Params}
-	}
-	reply := make(chan callResult, 1)
-	t := getTask()
-	t.nested = nested
-	t.kind = wal.KindOLTP
-	t.reply = reply
-	pid := e.routeCall(children[0].SP, children[0].Params)
-	p := e.part(pid)
-	if p == nil {
-		putTask(t)
-		return nil, e.remoteErr(pid)
-	}
-	if err := e.pushBorder(p, t); err != nil {
-		putTask(t)
-		return nil, err
-	}
-	r := <-reply
-	return r.res, r.err
-}
-
-// Ingest pushes an atomic batch into a border stream (push model). It
-// enqueues the border TE and returns immediately; the workflow runs
-// asynchronously. Duplicate batch IDs are rejected idempotently
-// (exactly-once ingestion).
-func (e *Engine) Ingest(streamName string, b *stream.Batch) error {
-	ch, err := e.ingest(streamName, b, false)
-	if err != nil {
-		return err
-	}
-	_ = ch
-	return nil
-}
-
-// IngestSync is Ingest but waits for the border TE to commit (not for
-// the whole downstream workflow; use Drain for that).
-func (e *Engine) IngestSync(streamName string, b *stream.Batch) error {
-	ch, err := e.ingest(streamName, b, true)
-	if err != nil {
-		return err
-	}
-	r := <-ch
-	return r.err
-}
-
-// IngestAsync enqueues the batch like Ingest but returns a channel
-// that receives the border TE's commit outcome. Unlike wrapping
-// IngestSync in a goroutine, the enqueue (and the exactly-once batch
-// admission) happens synchronously in submission order.
-func (e *Engine) IngestAsync(streamName string, b *stream.Batch) (<-chan error, error) {
-	ch, err := e.ingest(streamName, b, true)
-	if err != nil {
-		return nil, err
-	}
-	out := make(chan error, 1)
-	go func() {
-		r := <-ch
-		out <- r.err
-	}()
-	return out, nil
-}
-
-func (e *Engine) ingest(streamName string, b *stream.Batch, sync bool) (chan callResult, error) {
-	key := strings.ToLower(streamName)
-	sp := e.borderConsumer(key)
-	if sp == "" {
-		return nil, fmt.Errorf("pe: no border stored procedure consumes stream %q", streamName)
-	}
-	pid := 0
-	if e.opts.PartitionBy != nil {
-		pid = wrapPartition(e.opts.PartitionBy(key, b.Rows), e.nglobal)
-	}
-	// The routing decision precedes the exactly-once admission: a batch
-	// bound to another node's partition must not leave a ledger entry
-	// here — its admission belongs to the owning node, where the
-	// forwarded request will be admitted.
-	target := e.part(pid)
-	if target == nil {
-		return nil, e.remoteErr(pid)
-	}
-	if !e.dedup.Admit(pid, key, b.ID) {
-		return nil, fmt.Errorf("pe: duplicate batch %d on stream %s", b.ID, streamName)
-	}
-	var reply chan callResult
-	if sync {
-		reply = make(chan callResult, 1)
-	}
-	t := getTask()
-	t.sp = sp
-	t.params = types.Row{types.NewInt(b.ID)}
-	t.batchID = b.ID
-	t.batch = b.Rows
-	t.kind = wal.KindBorder
-	t.inputStream = key
-	t.reply = reply
-	if err := e.pushBorder(target, t); err != nil {
-		// The batch never entered the engine (queue full or engine
-		// closed): release the admission so a retry is not rejected as
-		// a duplicate.
-		putTask(t)
-		e.dedup.Release(pid, key, b.ID)
-		return nil, err
-	}
-	return reply, nil
-}
-
-// borderConsumer finds the border SP consuming a stream. The mapping
-// is registered (and checked unambiguous) at DeployWorkflow, so the
-// answer is deterministic — unlike the map iteration it replaced.
-func (e *Engine) borderConsumer(streamKey string) string {
-	return e.borderBy[streamKey].sp
-}
-
 // Drain waits until every partition's queue is empty and the last task
 // has finished — including TEs spawned by PE triggers and batches
 // handed off across partitions — and then until the command log is
@@ -888,107 +596,6 @@ func (e *Engine) Drain() error {
 		return e.logs.WaitDurable()
 	}
 	return nil
-}
-
-// AdHoc runs a single ad-hoc SQL statement on the given partition;
-// intended for tests, examples, and inspection.
-//
-// Read-only statements (SELECTs) are served from the snapshot read
-// path: a view pinned at the current commit boundary, off the
-// partition scheduler queue, so inspection never steals throughput
-// from the streaming write path. DDL and writes still run as control
-// work on the partition goroutine — but ad-hoc writes are rejected
-// when command logging is enabled, because they would commit without a
-// log record and silently vanish on recovery; route durable writes
-// through a registered stored procedure instead.
-func (e *Engine) AdHoc(pid int, stmtText string, params ...types.Value) (*ee.Result, error) {
-	part := e.part(pid)
-	if part == nil {
-		return nil, e.remoteErr(pid)
-	}
-	readOnly, ddl, err := ee.Classify(stmtText)
-	if err != nil {
-		return nil, err
-	}
-	if readOnly {
-		return e.Read(pid, stmtText, params...)
-	}
-	if !ddl && e.logs != nil {
-		return nil, fmt.Errorf(
-			"pe: ad-hoc write %q rejected: command logging is enabled and ad-hoc transactions are not logged, so the write would vanish on recovery; use a registered stored procedure", stmtText)
-	}
-	var out *ee.Result
-	err = e.onPartition(part, func(p *partition) error {
-		if ddl {
-			// Exclude off-loop plan compilation while the catalog and
-			// index lists change.
-			p.ddlMu.Lock()
-			defer p.ddlMu.Unlock()
-		}
-		tx := p.beginTxn()
-		ectx := &ee.ExecCtx{Txn: tx}
-		res, err := p.exec.Execute(stmtText, params, ectx)
-		if err != nil {
-			_ = tx.Rollback()
-			p.recycleTxn(tx)
-			return err
-		}
-		if err := tx.Commit(); err != nil {
-			return err
-		}
-		p.recycleTxn(tx)
-		if ddl {
-			p.invalidateReadPlans()
-		}
-		out = res
-		return nil
-	})
-	return out, err
-}
-
-// QueueDepth returns the number of queued tasks on a partition. Like
-// its siblings Tables/AdHoc it validates the partition id instead of
-// panicking on an out-of-range index.
-func (e *Engine) QueueDepth(partition int) (int, error) {
-	p := e.part(partition)
-	if p == nil {
-		return 0, e.remoteErr(partition)
-	}
-	return p.sched.Len(), nil
-}
-
-// TableInfo describes one catalog entry for introspection.
-type TableInfo struct {
-	Name   string
-	Kind   string // TABLE, STREAM, or WINDOW
-	Rows   int    // visible rows (staged window rows excluded)
-	Schema string
-}
-
-// Tables lists a partition's catalog in name order. It reads through a
-// pinned view — every row count reflects one commit boundary, and the
-// listing never enters the partition scheduler queue.
-func (e *Engine) Tables(pid int) ([]TableInfo, error) {
-	v, err := e.ReadView(pid)
-	if err != nil {
-		return nil, err
-	}
-	defer v.Close()
-	var out []TableInfo
-	for _, name := range v.part.cat.Names() {
-		t, release, err := v.view.Table(name)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, TableInfo{
-			Name:   t.Name(),
-			Kind:   t.Kind().String(),
-			Rows:   t.ActiveLen(),
-			Schema: t.Schema().String(),
-		})
-		release()
-	}
-	return out, nil
 }
 
 // SPExecutions returns the number of committed TEs of one stored
@@ -1096,117 +703,10 @@ func (e *Engine) Stats() Stats {
 
 // --- Checkpoint & recovery ---
 
-// genSnapshotPath names one partition's snapshot file within a
-// checkpoint generation; the generation is committed by the manifest.
-func (e *Engine) genSnapshotPath(pid int, stamp uint64) string {
-	return filepath.Join(e.opts.SnapshotDir, fmt.Sprintf("snapshot.p%d.g%d", pid, stamp))
-}
-
-// genPagePath names one archive table's page-file copy within a
-// checkpoint generation. The "snapshot.p" prefix and ".g<stamp>"
-// suffix put it under the same manifest-commit-then-cleanup protocol
-// as the row snapshots: cleanupSnapshotGenerations ages it out with
-// its generation and LoadSnapshot refuses a generation missing it.
-func (e *Engine) genPagePath(pid int, table string, stamp uint64) string {
-	return filepath.Join(e.opts.SnapshotDir,
-		fmt.Sprintf("snapshot.p%d.%s.pages.g%d", pid, strings.ToLower(table), stamp))
-}
-
-// defaultArchiveBudget is the per-partition buffer-pool budget when
-// Options.ArchiveMemoryBudget is zero: enough to keep a hot working
-// set resident while still exercising eviction in tests.
-const defaultArchiveBudget = 4 << 20
-
-// archiveSite materializes (once) the partition's archive site: the
-// shared page-file directory plus a per-partition buffer pool holding
-// an even share of the engine's archive memory budget. Called through
-// the catalog's archive provider from partition goroutines, hence the
-// engine-level mutex.
-func (e *Engine) archiveSite(p *partition, nlocal int) (*storage.ArchiveSite, error) {
-	e.archMu.Lock()
-	defer e.archMu.Unlock()
-	if p.archSite != nil {
-		return p.archSite, nil
-	}
-	if e.archDir == "" {
-		if dir := e.opts.ArchiveDir; dir != "" {
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				return nil, fmt.Errorf("pe: archive dir: %w", err)
-			}
-			e.archDir = dir
-		} else {
-			dir, err := os.MkdirTemp("", "sstore-archive-")
-			if err != nil {
-				return nil, fmt.Errorf("pe: archive dir: %w", err)
-			}
-			e.archDir = dir
-			e.archTmp = true
-		}
-	}
-	per := e.opts.ArchiveMemoryBudget / int64(nlocal)
-	if per <= 0 {
-		per = defaultArchiveBudget
-	}
-	p.archSite = &storage.ArchiveSite{
-		Pool: bufferpool.NewBudget(per),
-		Dir:  e.archDir,
-		Tag:  fmt.Sprintf("p%d", p.id),
-	}
-	return p.archSite, nil
-}
-
-// checkpointArchives copies each archive table's quiesced page file
-// into the checkpoint generation. Runs with every partition parked at
-// the checkpoint barrier, so the live file is stable for the copy.
-func (e *Engine) checkpointArchives(p *partition, stamp uint64) error {
-	for _, t := range p.cat.Tables() {
-		if !t.IsArchive() {
-			continue
-		}
-		if err := t.ArchiveCheckpoint(e.genPagePath(p.id, t.Name(), stamp)); err != nil {
-			return fmt.Errorf("pe: archive checkpoint %s: %w", t.Name(), err)
-		}
-	}
-	return nil
-}
-
-// restoreArchives finishes a snapshot load for archive tables: the row
-// snapshot carried only a row count (the rows live in the generation's
-// page-file copy), so every table whose snapshot entry announced
-// archived rows now restores its page file. Runs on the partition
-// goroutine via onPartition.
-func (e *Engine) restoreArchives(p *partition, stamp uint64) error {
-	for _, t := range p.cat.Tables() {
-		if !t.ArchiveAwaitingPages() {
-			continue
-		}
-		if err := t.ArchiveRestore(e.genPagePath(p.id, t.Name(), stamp)); err != nil {
-			return fmt.Errorf("pe: archive restore %s: %w", t.Name(), err)
-		}
-	}
-	return nil
-}
-
-// cleanupSnapshotGenerations best-effort removes the files of
-// superseded snapshot generations once a new manifest has committed.
-func (e *Engine) cleanupSnapshotGenerations(keep uint64) {
-	ents, err := os.ReadDir(e.opts.SnapshotDir)
-	if err != nil {
-		return
-	}
-	keepSuffix := fmt.Sprintf(".g%d", keep)
-	for _, ent := range ents {
-		name := ent.Name()
-		if !strings.HasPrefix(name, "snapshot.p") || strings.HasSuffix(name, keepSuffix) {
-			continue
-		}
-		os.Remove(filepath.Join(e.opts.SnapshotDir, name))
-	}
-}
-
 // Checkpoint quiesces all partitions and writes a transaction-
-// consistent snapshot (one file per partition), recording the current
-// log position (§3.1).
+// consistent checkpoint generation stamped with the current log
+// position (§3.1): each partition's share (partition.checkpoint), then
+// the manifest that commits the generation.
 func (e *Engine) Checkpoint() error {
 	if e.opts.SnapshotDir == "" {
 		return fmt.Errorf("pe: Checkpoint requires SnapshotDir")
@@ -1220,7 +720,6 @@ func (e *Engine) Checkpoint() error {
 	// Park every partition at a barrier so no transaction is
 	// in flight while we read catalogs.
 	for _, p := range e.parts {
-		p := p
 		errCh := make(chan error, 1)
 		t := getTask()
 		t.control = func(p *partition) error {
@@ -1273,13 +772,7 @@ func (e *Engine) Checkpoint() error {
 	// recovery can never load partitions at mixed stamps.
 	var firstErr error
 	for _, rp := range parked {
-		err := wal.WriteSnapshot(e.genSnapshotPath(rp.p.id, lastLSN), lastLSN, rp.p.cat.Tables())
-		if err == nil {
-			// Archive tables snapshot as row counts plus a page-file
-			// copy in the same generation; both land before the
-			// manifest commits the stamp.
-			err = e.checkpointArchives(rp.p, lastLSN)
-		}
+		err := rp.p.checkpoint(e.opts.SnapshotDir, lastLSN)
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
@@ -1296,7 +789,7 @@ func (e *Engine) Checkpoint() error {
 		firstErr = e.logs.CompactBefore(lastLSN)
 	}
 	if firstErr == nil {
-		e.cleanupSnapshotGenerations(lastLSN)
+		cleanupGenerations(e.opts.SnapshotDir, lastLSN)
 	}
 	close(release)
 	return firstErr

@@ -455,7 +455,7 @@ func TestTornCheckpointLoadsCommittedGeneration(t *testing.T) {
 	// Simulate a second checkpoint torn mid-write: partition 0 got a
 	// newer snapshot file, partition 1 did not, and the manifest was
 	// never updated. The stray file must be ignored.
-	stray := e1.genSnapshotPath(0, e1.logs.LastSeq()+100)
+	stray := e1.part(0).genFile(dir, "", e1.logs.LastSeq()+100)
 	src, err := os.ReadFile(findGenSnapshot(t, dir, 0))
 	if err != nil {
 		t.Fatal(err)
@@ -492,10 +492,11 @@ func findGenSnapshot(t *testing.T, dir string, pid int) string {
 	return ""
 }
 
-// TestWeakRecoveryRoutesReFiredBatches: a batch parked in a producer's
-// stream table at crash time re-fires through PartitionBy, so its
+// TestWeakRecoveryRoutesReFiredBatches: batches parked in a producer's
+// stream table at crash time re-fire through PartitionBy, so each
 // consumer runs on (and writes to) the partition that owns the key —
-// the placement live dispatch would have chosen.
+// the placement live dispatch would have chosen — and each target
+// partition's ledger admits the batches fired onto it.
 func TestWeakRecoveryRoutesReFiredBatches(t *testing.T) {
 	const parts = 2
 	dir := t.TempDir()
@@ -503,12 +504,16 @@ func TestWeakRecoveryRoutesReFiredBatches(t *testing.T) {
 
 	e1 := newEngine(t, opts)
 	deployRoutedPipeline(t, e1)
-	// Park the produced "jobs" batch on partition 0 by suppressing PE
-	// triggers: the border TE commits (and logs) but the consumer
-	// never fires. Key 1 routes the batch to partition 1.
+	// Park the produced "jobs" batches on partition 0 by suppressing PE
+	// triggers: the border TEs commit (and log) but the consumer never
+	// fires. Keys 1, 0, 1 route batches 1 and 3 to partition 1 and
+	// batch 2 to partition 0.
 	e1.SetPETriggersEnabled(false)
-	if err := e1.IngestSync("jobs_in", &stream.Batch{ID: 1, Rows: []types.Row{{types.NewInt(1), types.NewInt(42)}}}); err != nil {
-		t.Fatal(err)
+	for i, kv := range [][2]int64{{1, 42}, {0, 7}, {1, 43}} {
+		b := &stream.Batch{ID: int64(i + 1), Rows: []types.Row{{types.NewInt(kv[0]), types.NewInt(kv[1])}}}
+		if err := e1.IngestSync("jobs_in", b); err != nil {
+			t.Fatal(err)
+		}
 	}
 	e1.Drain()
 	if err := e1.Checkpoint(); err != nil { // snapshot holds the parked batch
@@ -522,8 +527,13 @@ func TestWeakRecoveryRoutesReFiredBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := resultsAcross(t, e2, parts)
-	if len(got) != 1 || got[42] != 1 {
-		t.Fatalf("re-fired batch landed as %v, want value 42 processed on partition 1", got)
+	if len(got) != 3 || got[42] != 1 || got[7] != 0 || got[43] != 1 {
+		t.Fatalf("re-fired batches landed as %v, want 42 and 43 on partition 1, 7 on partition 0", got)
+	}
+	for pid, want := range []int64{2, 3} {
+		if hi := e2.part(pid).ledger.High("jobs"); hi != want {
+			t.Errorf("partition %d ledger high on jobs = %d, want %d (the highest batch re-fired onto it)", pid, hi, want)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"sstore/internal/ee"
 	"sstore/internal/storage"
+	"sstore/internal/stream"
 	"sstore/internal/txn"
 	"sstore/internal/types"
 	"sstore/internal/wal"
@@ -77,19 +78,9 @@ type partition struct {
 
 	insertSQL map[string]string // cached INSERT statement per stream
 
-	// archSite is the partition's disk-backed heap site (buffer pool +
-	// page-file directory), materialized by the engine on the first
-	// CREATE ARCHIVE TABLE; nil until then. Guarded by Engine.archMu.
-	archSite *storage.ArchiveSite
-
-	// log is this partition's command log (nil when logging is off);
-	// lsn is the highest LSN the partition has appended to it
-	// (dispatcher goroutine only). release, non-nil only under
-	// SyncGroup, holds client-visible replies until the log is durable
-	// at the lsn they were produced behind (see release.go).
-	log     *wal.Logger
-	lsn     uint64
-	release *releaseQueue
+	// durable is the partition's log, ledger and archive site (see
+	// durability.go).
+	durable
 
 	done chan struct{}
 }
@@ -146,6 +137,7 @@ func newPartition(id int, eng *Engine) *partition {
 		execBySP:  make(map[string]uint64),
 		pendingGC: make(map[gcKey]int),
 		insertSQL: make(map[string]string),
+		durable:   durable{ledger: stream.NewDedup()},
 		done:      make(chan struct{}),
 	}
 }
@@ -522,36 +514,6 @@ func (p *partition) placeMovedBatch(streamName string, rows []types.Row, batchID
 	return nil
 }
 
-// releaseBorderAdmission runs after a border TE's body aborted and
-// rolled back, before logCommit was ever attempted: the rollback
-// removed the batch's rows from the input stream and nothing reached
-// the log, so the batch left no trace — but its admission still sits
-// in the exactly-once ledger, where it would reject the client's retry
-// of the very same batch as a duplicate. Releasing the admission
-// restores the re-delivery contract: abort → retry → commit. The
-// release happens on this partition's ledger shard, which is where
-// ingest admitted the batch (the ledger travels with the routing).
-//
-// The ledger is a high-water mark, so only the shard's most recent
-// admission can actually be released (stream.Dedup.Release): the
-// retry guarantee holds for an injector that resolves each batch
-// before admitting later IDs on the same (stream, shard) — the sync
-// and retry-loop clients. A pipelined injector that runs past an
-// abort cannot reclaim the hole. It does not run on a post-log commit
-// failure: the record's bytes may have reached the file even when the
-// append reported an error, and a replayed-plus-retried batch would
-// apply twice.
-// Hand-off TEs release the same way: their admission also lives on
-// this partition's shard (keyed by the hand-off's target partition ==
-// p.id), and releasing it lets the sending node's re-delivery retry
-// the batch instead of being suppressed as a duplicate.
-func (p *partition) releaseBorderAdmission(t *task) {
-	if (t.kind != wal.KindBorder && t.kind != wal.KindHandoff) || t.inputStream == "" {
-		return
-	}
-	p.eng.dedup.Release(p.id, t.inputStream, t.batchID)
-}
-
 // retainRelocatedBatch runs after an aborted TE rolled back: if the
 // task carried a relocated batch, the rollback removed the rows from
 // the stream table, which would lose the batch — they exist nowhere
@@ -572,103 +534,6 @@ func (p *partition) retainRelocatedBatch(t *task) {
 	if t.gcRefs > 1 {
 		p.pendingGC[gcKey{stream: t.inputStream, batchID: t.batchID}] = t.gcRefs
 	}
-}
-
-// groundQueuedBatches materializes batches traveling inside this
-// partition's queued carrying tasks into its stream tables. The
-// checkpoint barrier calls it with every partition parked: a batch
-// relocated by a TE that committed behind another partition's barrier
-// exists only in the carrying task, so without grounding the snapshot
-// would miss a durably-committed (and soon compacted-away) batch. The
-// GC refcount moves to pendingGC and the task sheds its payload — the
-// consumer then finds the rows in the table, exactly as if the batch
-// had been produced locally.
-func (p *partition) groundQueuedBatches() error {
-	var firstErr error
-	p.sched.ForEachQueued(func(t *task) {
-		if t.kind != wal.KindInterior || len(t.batch) == 0 || t.inputStream == "" {
-			return
-		}
-		tbl, err := p.cat.Get(t.inputStream)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			return
-		}
-		for _, row := range t.batch {
-			if _, err := tbl.Insert(row, t.batchID, nil); err != nil {
-				// Roll the partial insert back out of the table: the
-				// task keeps its payload, so the batch is neither
-				// duplicated (when the consumer later places it) nor
-				// lost (the checkpoint aborts on this error).
-				storage.DeleteBatch(tbl, t.batchID, nil)
-				if firstErr == nil {
-					firstErr = err
-				}
-				return
-			}
-		}
-		if t.gcRefs > 0 {
-			p.pendingGC[gcKey{stream: t.inputStream, batchID: t.batchID}] = t.gcRefs
-		}
-		t.batch = nil
-		t.gcRefs = 0
-	})
-	return firstErr
-}
-
-// logCommit appends the TE's command-log record to this partition's
-// log per the recovery mode. It runs before Commit so a logged
-// transaction is always recoverable (write-ahead); under SyncGroup it
-// does not wait for the fsync — the reply waits instead (replyTo).
-// Because each partition has its own log, concurrent commits on
-// different partitions never contend on a shared mutex or fsync
-// queue; the record's global sequence stamp preserves total commit
-// order for replay.
-//
-// A client Call that wrote nothing — no mutation, no stream append —
-// is not logged: replaying it would change no state. Its reply still
-// parks behind p.lsn, so it never reveals un-durable state early.
-func (p *partition) logCommit(t *task, r *spRun) error {
-	if !p.logged(t) || (t.kind == wal.KindOLTP && r.tx.Mutations() == 0 && len(r.ectx.Appends) == 0) {
-		return nil
-	}
-	rec := &wal.Record{
-		Kind:      t.kind,
-		Partition: p.id,
-		SP:        t.sp,
-		BatchID:   t.batchID,
-		Params:    t.params,
-	}
-	// Only border and hand-off records carry tuples (upstream backup,
-	// §3.2.5). An interior task may also hold rows when its batch was
-	// relocated across partitions, but logging them would be pure log
-	// volume: strong-recovery replay re-derives the rows from the
-	// upstream record and hands them over through the replay stash. A
-	// hand-off's upstream record lives on ANOTHER node's log, so its
-	// rows must be logged here for this node's recovery to stay local.
-	if t.kind == wal.KindBorder || t.kind == wal.KindHandoff {
-		rec.Batch = t.batch
-	}
-	return p.appendLog(rec)
-}
-
-// logged reports whether the task's TE is command-logged.
-func (p *partition) logged(t *task) bool {
-	e := p.eng
-	return !t.noLog && p.log != nil && e.loggingOn.Load() && e.opts.Recovery.ShouldLog(t.kind)
-}
-
-// appendLog appends one record to the partition's log and advances the
-// LSN that later replies wait for.
-func (p *partition) appendLog(rec *wal.Record) error {
-	lsn, err := p.log.AppendAsync(rec)
-	if err != nil {
-		return err
-	}
-	p.lsn = lsn
-	return nil
 }
 
 // afterCommit dispatches PE triggers for the TE's stream appends and

@@ -8,15 +8,16 @@ import (
 	"sstore/internal/types"
 )
 
-// This file is the snapshot read path (ISSUE 5): read-only statements
-// execute against a consistent per-partition read view without ever
-// entering the partition scheduler queue. A view pins at a commit
-// boundary (waiting out at most the task currently executing — never
-// the queue behind it); reads then resolve each table to the live heap
-// or a copy-on-write image (see internal/storage/views.go) and run the
+// This file is the read path: read-only statements execute against a
+// consistent per-partition read view without ever entering the
+// partition scheduler queue. A view pins at a commit boundary (waiting
+// out at most the task currently executing — never the queue behind
+// it); reads then resolve each table to the live heap or a
+// copy-on-write image (see internal/storage/views.go) and run the
 // compiled plan off-loop. Maintained window aggregates are captured at
-// pin time, so aggregate inspection is O(1) and steals nothing from
-// the streaming write path.
+// pin time, so aggregate inspection is O(1) and steals nothing from the
+// streaming write path. The inspection surfaces AdHoc and Tables sit on
+// top of it.
 
 // ReadView is a pinned, transaction-consistent snapshot of one
 // partition. It is safe for concurrent Query calls; Close releases the
@@ -164,4 +165,94 @@ func (p *partition) invalidateReadPlans() {
 	p.readMu.Lock()
 	p.readPlans = make(map[string]*ee.ReadPlan)
 	p.readMu.Unlock()
+}
+
+// AdHoc runs a single ad-hoc SQL statement on the given partition;
+// intended for tests, examples, and inspection.
+//
+// Read-only statements (SELECTs) are served from the snapshot read
+// path: a view pinned at the current commit boundary, off the
+// partition scheduler queue, so inspection never steals throughput
+// from the streaming write path. DDL and writes still run as control
+// work on the partition goroutine — but ad-hoc writes are rejected
+// when command logging is enabled, because they would commit without a
+// log record and silently vanish on recovery; route durable writes
+// through a registered stored procedure instead.
+func (e *Engine) AdHoc(pid int, stmtText string, params ...types.Value) (*ee.Result, error) {
+	part := e.part(pid)
+	if part == nil {
+		return nil, e.remoteErr(pid)
+	}
+	readOnly, ddl, err := ee.Classify(stmtText)
+	if err != nil {
+		return nil, err
+	}
+	if readOnly {
+		return e.Read(pid, stmtText, params...)
+	}
+	if !ddl && e.logs != nil {
+		return nil, fmt.Errorf(
+			"pe: ad-hoc write %q rejected: command logging is enabled and ad-hoc transactions are not logged, so the write would vanish on recovery; use a registered stored procedure", stmtText)
+	}
+	var out *ee.Result
+	err = e.onPartition(part, func(p *partition) error {
+		if ddl {
+			// Exclude off-loop plan compilation while the catalog and
+			// index lists change.
+			p.ddlMu.Lock()
+			defer p.ddlMu.Unlock()
+		}
+		tx := p.beginTxn()
+		ectx := &ee.ExecCtx{Txn: tx}
+		res, err := p.exec.Execute(stmtText, params, ectx)
+		if err != nil {
+			_ = tx.Rollback()
+			p.recycleTxn(tx)
+			return err
+		}
+		if err := tx.Commit(); err != nil {
+			return err
+		}
+		p.recycleTxn(tx)
+		if ddl {
+			p.invalidateReadPlans()
+		}
+		out = res
+		return nil
+	})
+	return out, err
+}
+
+// TableInfo describes one catalog entry for introspection.
+type TableInfo struct {
+	Name   string
+	Kind   string // TABLE, STREAM, or WINDOW
+	Rows   int    // visible rows (staged window rows excluded)
+	Schema string
+}
+
+// Tables lists a partition's catalog in name order. It reads through a
+// pinned view — every row count reflects one commit boundary, and the
+// listing never enters the partition scheduler queue.
+func (e *Engine) Tables(pid int) ([]TableInfo, error) {
+	v, err := e.ReadView(pid)
+	if err != nil {
+		return nil, err
+	}
+	defer v.Close()
+	var out []TableInfo
+	for _, name := range v.part.cat.Names() {
+		t, release, err := v.view.Table(name)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, TableInfo{
+			Name:   t.Name(),
+			Kind:   t.Kind().String(),
+			Rows:   t.ActiveLen(),
+			Schema: t.Schema().String(),
+		})
+		release()
+	}
+	return out, nil
 }

@@ -36,13 +36,16 @@ type stashKey struct {
 	batchID int64
 }
 
-// stashedBatch remembers a batch's rows, the partition whose table
-// they were extracted from, how many consumer records have yet to
-// take the batch (a fan-out stream's batch is consumed by one logged
-// TE per consumer, each of which needs the rows), and which consumers
-// already took it — so a crash that logged only some of a fan-out's
-// consumers re-fires exactly the missing ones.
-type stashedBatch struct {
+// pendingBatch is a batch whose consumers recovery has yet to run:
+// parked in the replay stash, or recovered by the snapshot into a
+// stream table. It remembers the rows, the partition whose table they
+// were extracted from and, for a stash entry, how many consumer records
+// have yet to take the batch (a fan-out stream's batch is consumed by
+// one logged TE per consumer, each of which needs the rows) and which
+// consumers already took it — so a crash that logged only some of a
+// fan-out's consumers re-fires exactly the missing ones.
+type pendingBatch struct {
+	stashKey
 	rows  []types.Row
 	pid   int
 	refs  int
@@ -54,20 +57,21 @@ type stashedBatch struct {
 // swept out of the tables.
 type replayStash struct {
 	mu    sync.Mutex
-	m     map[stashKey]stashedBatch
+	m     map[stashKey]pendingBatch
 	swept map[string]bool
 }
 
 func newReplayStash() *replayStash {
-	return &replayStash{m: make(map[stashKey]stashedBatch), swept: make(map[string]bool)}
+	return &replayStash{m: make(map[stashKey]pendingBatch), swept: make(map[string]bool)}
 }
 
 func (s *replayStash) put(stream string, batchID int64, pid int, rows []types.Row, refs int) {
 	if refs < 1 {
 		refs = 1
 	}
+	k := stashKey{stream: stream, batchID: batchID}
 	s.mu.Lock()
-	s.m[stashKey{stream: stream, batchID: batchID}] = stashedBatch{rows: rows, pid: pid, refs: refs, taken: make(map[string]bool)}
+	s.m[k] = pendingBatch{stashKey: k, rows: rows, pid: pid, refs: refs, taken: make(map[string]bool)}
 	s.mu.Unlock()
 }
 
@@ -104,28 +108,22 @@ func (s *replayStash) sweepOnce(stream string) bool {
 	return true
 }
 
-// drainedBatch is one stash entry surfaced by drain.
-type drainedBatch struct {
-	key   stashKey
-	batch stashedBatch
-}
-
 // drain empties the stash, returning every parked batch in (stream,
 // batchID) order: drain feeds replay's re-fire pass, and the stash
 // map's iteration order must not leak into the replayed schedule.
-func (s *replayStash) drain() []drainedBatch {
+func (s *replayStash) drain() []pendingBatch {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]drainedBatch, 0, len(s.m))
-	for k, b := range s.m {
-		out = append(out, drainedBatch{key: k, batch: b})
+	out := make([]pendingBatch, 0, len(s.m))
+	for _, b := range s.m {
+		out = append(out, b)
 	}
-	s.m = make(map[stashKey]stashedBatch)
+	s.m = make(map[stashKey]pendingBatch)
 	sort.Slice(out, func(i, j int) bool {
-		if out[i].key.stream != out[j].key.stream {
-			return out[i].key.stream < out[j].key.stream
+		if out[i].stream != out[j].stream {
+			return out[i].stream < out[j].stream
 		}
-		return out[i].key.batchID < out[j].key.batchID
+		return out[i].batchID < out[j].batchID
 	})
 	return out
 }
@@ -148,21 +146,9 @@ func (e *Engine) LoadSnapshot() (uint64, error) {
 		return 0, err
 	}
 	for _, p := range e.parts {
-		err := e.onPartition(p, func(p *partition) error {
-			path := e.genSnapshotPath(p.id, stamp)
-			if _, err := wal.LoadSnapshot(path, p.cat.Lookup); err != nil {
-				// A committed generation is complete by construction; a
-				// missing member means external damage, and loading
-				// around it would silently drop that partition's
-				// checkpointed state.
-				return fmt.Errorf("pe: snapshot generation %d, %s: %w", stamp, path, err)
-			}
-			// Archive tables' rows live in the generation's page-file
-			// copies, not the row snapshot; restore them now so WAL
-			// redo replays against complete state.
-			return e.restoreArchives(p, stamp)
-		})
-		if err != nil {
+		if err := e.onPartition(p, func(p *partition) error {
+			return p.restore(e.opts.SnapshotDir, stamp)
+		}); err != nil {
 			return 0, err
 		}
 	}
@@ -205,19 +191,15 @@ func (e *Engine) ReplayRecord(rec *wal.Record) error {
 	t.noLog = true
 	t.reply = reply
 	switch rec.Kind {
-	case wal.KindBorder:
+	case wal.KindBorder, wal.KindHandoff:
+		// Border and hand-off records are self-contained: both carry
+		// their rows (a hand-off's upstream TE committed on another
+		// node, whose log is not ours to read). Replay re-admits the
+		// batch on the partition's ledger, so a post-recovery re-send —
+		// or the sending node's re-delivery — is suppressed.
 		t.batch = rec.Batch
 		t.inputStream = e.spInput[rec.SP]
-		e.dedup.Admit(pid, t.inputStream, rec.BatchID)
-	case wal.KindHandoff:
-		// A hand-off record is self-contained like a border record:
-		// its rows were logged on THIS node (the upstream TE committed
-		// on another node, whose log is not ours to read), and replay
-		// re-admits the batch on the target partition's ledger shard so
-		// the sending node's post-recovery re-delivery is suppressed.
-		t.batch = rec.Batch
-		t.inputStream = e.spInput[rec.SP]
-		e.dedup.Admit(pid, t.inputStream, rec.BatchID)
+		part.ledger.Admit(t.inputStream, rec.BatchID)
 	case wal.KindInterior:
 		t.inputStream = e.spInput[rec.SP]
 		// Under strong recovery the upstream TE replayed with PE
@@ -355,18 +337,9 @@ func makeConsumerTasks(consumers []string, streamKey string, batchID int64, rows
 //
 //sstore:deterministic
 func (e *Engine) FirePendingStreamTriggers() error {
-	type pending struct {
-		stream  string
-		batchID int64
-		rows    []types.Row
-		pid     int // partition the rows were extracted from
-		taken   map[string]bool
-	}
-	var all []pending
+	var all []pendingBatch
 	if e.stash != nil {
-		for _, d := range e.stash.drain() {
-			all = append(all, pending{stream: d.key.stream, batchID: d.key.batchID, rows: d.batch.rows, pid: d.batch.pid, taken: d.batch.taken})
-		}
+		all = e.stash.drain()
 	}
 	for _, p := range e.parts {
 		err := e.onPartition(p, func(p *partition) error {
@@ -381,7 +354,7 @@ func (e *Engine) FirePendingStreamTriggers() error {
 						continue
 					}
 					storage.DeleteBatch(tbl, b, nil)
-					all = append(all, pending{stream: key, batchID: b, rows: rows, pid: p.id})
+					all = append(all, pendingBatch{stashKey: stashKey{stream: key, batchID: b}, rows: rows, pid: p.id})
 				}
 			}
 			return nil
@@ -397,11 +370,12 @@ func (e *Engine) FirePendingStreamTriggers() error {
 		return all[i].batchID < all[j].batchID
 	})
 	perPart := make(map[int][]*task)
-	type ledgerKey struct {
-		pid    int
-		stream string
+	// park puts a batch's rows back in its source partition's table.
+	park := func(pb pendingBatch) error {
+		return e.onPartition(e.part(pb.pid), func(p *partition) error {
+			return p.placeMovedBatch(pb.stream, pb.rows, pb.batchID, nil)
+		})
 	}
-	ledgerHi := make(map[ledgerKey]int64)
 	for _, pb := range all {
 		var remaining []string
 		for _, c := range e.consumersOf(pb.stream) {
@@ -417,20 +391,7 @@ func (e *Engine) FirePendingStreamTriggers() error {
 			// Every consumer of this batch already replayed (possible
 			// only with duplicate records): park the rows back in the
 			// table rather than dropping them.
-			pb := pb
-			err := e.onPartition(e.part(pb.pid), func(p *partition) error {
-				tbl, ok := p.cat.Lookup(pb.stream)
-				if !ok {
-					return fmt.Errorf("pe: pending batch for unknown stream %q", pb.stream)
-				}
-				for _, row := range pb.rows {
-					if _, err := tbl.Insert(row, pb.batchID, nil); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-			if err != nil {
+			if err := park(pb); err != nil {
 				return err
 			}
 			continue
@@ -443,20 +404,7 @@ func (e *Engine) FirePendingStreamTriggers() error {
 			// The receiving node's ledger suppresses re-deliveries it
 			// already committed (its ack deletes the parked copy), so a
 			// restart loop cannot double-apply the batch.
-			pb := pb
-			err := e.onPartition(e.part(pb.pid), func(p *partition) error {
-				tbl, ok := p.cat.Lookup(pb.stream)
-				if !ok {
-					return fmt.Errorf("pe: pending batch for unknown stream %q", pb.stream)
-				}
-				for _, row := range pb.rows {
-					if _, err := tbl.Insert(row, pb.batchID, nil); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-			if err != nil {
+			if err := park(pb); err != nil {
 				return err
 			}
 			if _, err := e.transport.Deliver(pb.pid, target, pb.stream, pb.batchID, pb.rows, true); err != nil {
@@ -465,31 +413,14 @@ func (e *Engine) FirePendingStreamTriggers() error {
 			continue
 		}
 		perPart[target] = append(perPart[target], makeConsumerTasks(remaining, pb.stream, pb.batchID, pb.rows)...)
-		lk := ledgerKey{pid: target, stream: pb.stream}
-		if pb.batchID > ledgerHi[lk] {
-			ledgerHi[lk] = pb.batchID
-		}
+		// Keep the target's ledger ahead of the batches fired onto it.
+		// The loop runs in (stream, batchID) order, so each admission
+		// raises the stream's high on that partition or is already
+		// covered by it.
+		e.part(target).ledger.Admit(pb.stream, pb.batchID)
 	}
-	// Keep each destination's exactly-once ledger shard ahead of the
-	// batches fired onto it. Ledger resets and task pushes happen in
-	// sorted key / partition-index order: both loops sit on the replay
-	// path, where map-iteration order must never reach an effect.
-	lks := make([]ledgerKey, 0, len(ledgerHi))
-	for lk := range ledgerHi {
-		lks = append(lks, lk)
-	}
-	sort.Slice(lks, func(i, j int) bool {
-		if lks[i].pid != lks[j].pid {
-			return lks[i].pid < lks[j].pid
-		}
-		return lks[i].stream < lks[j].stream
-	})
-	for _, lk := range lks {
-		if hi := ledgerHi[lk]; hi > e.dedup.High(lk.pid, lk.stream) {
-			e.dedup.Reset(lk.pid, lk.stream)
-			e.dedup.Admit(lk.pid, lk.stream, hi)
-		}
-	}
+	// Push in partition-index order: this sits on the replay path,
+	// where map-iteration order must never reach an effect.
 	for _, p := range e.parts {
 		if ts := perPart[p.id]; len(ts) > 0 {
 			p.sched.PushFrontBatch(ts)

@@ -309,7 +309,7 @@ func TestIngestReleaseOnFailedEnqueue(t *testing.T) {
 	} else if strings.Contains(err.Error(), "duplicate") {
 		t.Fatalf("ingest after Close failed as duplicate: %v", err)
 	}
-	if hi := e.dedup.High(0, "s1"); hi != 0 {
+	if hi := e.part(0).ledger.High("s1"); hi != 0 {
 		t.Errorf("failed enqueue left admission in the ledger: high = %d, want 0", hi)
 	}
 	// A second attempt must fail for the right reason (engine closed),

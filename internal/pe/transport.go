@@ -138,7 +138,7 @@ func (e *Engine) handoffAcked(from int, streamKey string, batchID int64, ackErr 
 
 // DeliverHandoff is the receiving side of a cross-node hand-off
 // (wire.OpHandoff): admit the batch on the target partition's
-// exactly-once ledger shard, then enqueue one hand-off TE per
+// exactly-once ledger, then enqueue one hand-off TE per
 // consumer. dup=true reports a suppressed re-delivery (already
 // admitted — the hand-off was already applied or is in flight); ack
 // is non-nil on a fresh admission and receives the outcome once every
@@ -163,22 +163,14 @@ func (e *Engine) DeliverHandoff(from, target int, streamName string, batchID int
 	if len(consumers) == 0 {
 		return false, nil, fmt.Errorf("pe: no consumer for hand-off stream %q", streamName)
 	}
-	if !e.dedup.Admit(target, key, batchID) {
+	if !p.ledger.Admit(key, batchID) {
 		e.handoffsDup.Add(1)
 		return true, nil, nil
 	}
 	reply := make(chan callResult, len(consumers))
-	ts := make([]*task, 0, len(consumers))
-	for _, c := range consumers {
-		t := getTask()
-		t.sp = c
-		t.params = types.Row{types.NewInt(batchID)}
-		t.batchID = batchID
-		t.batch = rows
-		t.kind = wal.KindHandoff
-		t.inputStream = key
-		t.reply = reply
-		ts = append(ts, t)
+	ts := makeConsumerTasks(consumers, key, batchID, rows)
+	for _, t := range ts {
+		t.kind, t.batch, t.gcRefs, t.reply = wal.KindHandoff, rows, 0, reply
 	}
 	if !p.sched.PushBackBatch(ts) {
 		for _, t := range ts {
@@ -187,7 +179,7 @@ func (e *Engine) DeliverHandoff(from, target int, streamName string, batchID int
 		// The batch never entered the engine: release the admission so
 		// the sender's re-delivery after this node restarts is not
 		// rejected as a duplicate.
-		e.dedup.Release(target, key, batchID)
+		p.ledger.Release(key, batchID)
 		return false, nil, fmt.Errorf("pe: partition %d closed", target)
 	}
 	e.handoffsRecv.Add(1)

@@ -45,7 +45,7 @@ func byFirstInt(_ string, rows []types.Row) int {
 // OLTP procedure Report(sensor) reads them back. Batches and Report
 // calls route by sensor, so the workflow fans out across partitions
 // and a multi-connection client load with one sensor per connection
-// never contends on a ledger shard.
+// never contends on a partition's ledger.
 func PipelineApp() *App {
 	return &App{
 		Name:        "pipeline",

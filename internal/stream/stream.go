@@ -119,61 +119,3 @@ func (d *Dedup) High(stream string) int64 {
 	defer d.mu.Unlock()
 	return d.high[stream].high
 }
-
-// Reset forgets a stream's history; recovery uses this before replaying
-// a log so the replayed border TEs are admitted again.
-func (d *Dedup) Reset(stream string) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	delete(d.high, stream)
-}
-
-// ShardedDedup is a Dedup partitioned into independent shards — one per
-// execution site — so the exactly-once ledger for a batch lives on the
-// partition the batch is routed to, and concurrent ingestion to
-// different partitions never contends on one mutex. Batch IDs must be
-// increasing per (stream, shard); a partitioning function that routes
-// by a key every tuple of a batch shares yields exactly that, since
-// each shard then sees an increasing subsequence of the stream's IDs.
-type ShardedDedup struct {
-	shards []*Dedup
-}
-
-// NewShardedDedup creates a ledger with n independent shards (n >= 1).
-func NewShardedDedup(n int) *ShardedDedup {
-	if n < 1 {
-		n = 1
-	}
-	s := &ShardedDedup{shards: make([]*Dedup, n)}
-	for i := range s.shards {
-		s.shards[i] = NewDedup()
-	}
-	return s
-}
-
-// Shards returns the shard count.
-func (s *ShardedDedup) Shards() int { return len(s.shards) }
-
-func (s *ShardedDedup) shard(i int) *Dedup {
-	return s.shards[((i%len(s.shards))+len(s.shards))%len(s.shards)]
-}
-
-// Admit records the batch on the shard's ledger; see Dedup.Admit.
-func (s *ShardedDedup) Admit(shard int, stream string, batchID int64) bool {
-	return s.shard(shard).Admit(stream, batchID)
-}
-
-// Release undoes the shard's most recent admission; see Dedup.Release.
-func (s *ShardedDedup) Release(shard int, stream string, batchID int64) {
-	s.shard(shard).Release(stream, batchID)
-}
-
-// High returns the shard's highest admitted batch ID for a stream.
-func (s *ShardedDedup) High(shard int, stream string) int64 {
-	return s.shard(shard).High(stream)
-}
-
-// Reset forgets a stream's history on one shard.
-func (s *ShardedDedup) Reset(shard int, stream string) {
-	s.shard(shard).Reset(stream)
-}

@@ -77,10 +77,6 @@ func TestDedup(t *testing.T) {
 	if d.High("s") != 2 {
 		t.Errorf("high = %d", d.High("s"))
 	}
-	d.Reset("s")
-	if !d.Admit("s", 1) {
-		t.Error("reset should allow replay")
-	}
 }
 
 func TestDedupConcurrent(t *testing.T) {
@@ -133,109 +129,5 @@ func TestDedupRelease(t *testing.T) {
 	d.Release("other", 7)
 	if d.High("other") != 0 {
 		t.Errorf("high on untouched stream = %d", d.High("other"))
-	}
-}
-
-func TestShardedDedup(t *testing.T) {
-	s := NewShardedDedup(4)
-	if s.Shards() != 4 {
-		t.Fatalf("shards = %d", s.Shards())
-	}
-	// Shards are independent ledgers: the same (stream, ID) admits on
-	// each shard exactly once.
-	for shard := 0; shard < 4; shard++ {
-		if !s.Admit(shard, "s", 1) {
-			t.Errorf("shard %d rejected first admission", shard)
-		}
-		if s.Admit(shard, "s", 1) {
-			t.Errorf("shard %d admitted duplicate", shard)
-		}
-	}
-	// Release and Reset are per shard.
-	if !s.Admit(1, "s", 5) {
-		t.Fatal("shard 1 rejected batch 5")
-	}
-	s.Release(1, "s", 5)
-	if s.High(1, "s") != 1 {
-		t.Errorf("shard 1 high = %d, want 1", s.High(1, "s"))
-	}
-	s.Reset(2, "s")
-	if !s.Admit(2, "s", 1) {
-		t.Error("reset shard should re-admit")
-	}
-	if s.High(3, "s") != 1 {
-		t.Errorf("shard 3 high = %d, want 1", s.High(3, "s"))
-	}
-	// Out-of-range shard indexes wrap instead of panicking.
-	if !s.Admit(6, "t", 1) { // shard 2
-		t.Error("wrapped shard rejected admission")
-	}
-	if s.High(-2, "t") != 1 { // also shard 2
-		t.Errorf("negative shard index should wrap: high = %d", s.High(-2, "t"))
-	}
-}
-
-// TestShardedDedupConcurrentShards hammers admit/release/reset from
-// one goroutine per shard plus cross-shard readers, so the race
-// detector proves shards are safely independent: a full admit →
-// release → re-admit → reset cycle on one shard never corrupts
-// another's high-water mark.
-func TestShardedDedupConcurrentShards(t *testing.T) {
-	const shards, rounds = 8, 500
-	s := NewShardedDedup(shards)
-	var wg sync.WaitGroup
-	for shard := 0; shard < shards; shard++ {
-		wg.Add(1)
-		go func(shard int) {
-			defer wg.Done()
-			id := int64(1)
-			for r := 0; r < rounds; r++ {
-				if !s.Admit(shard, "s", id) {
-					t.Errorf("shard %d rejected fresh batch %d", shard, id)
-					return
-				}
-				if s.Admit(shard, "s", id) {
-					t.Errorf("shard %d admitted duplicate %d", shard, id)
-					return
-				}
-				if r%3 == 0 {
-					// Simulate a failed enqueue: release and re-admit
-					// the same ID.
-					s.Release(shard, "s", id)
-					if !s.Admit(shard, "s", id) {
-						t.Errorf("shard %d rejected re-admission of released %d", shard, id)
-						return
-					}
-				}
-				if r%100 == 99 {
-					s.Reset(shard, "s")
-					id = 0
-				}
-				id++
-			}
-		}(shard)
-	}
-	// Cross-shard readers racing the writers.
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for r := 0; r < rounds; r++ {
-				for shard := 0; shard < shards; shard++ {
-					_ = s.High(shard, "s")
-				}
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-func TestShardedDedupSingleShard(t *testing.T) {
-	s := NewShardedDedup(0) // clamped to 1
-	if s.Shards() != 1 {
-		t.Fatalf("shards = %d, want 1", s.Shards())
-	}
-	if !s.Admit(0, "s", 1) || s.Admit(5, "s", 1) {
-		t.Error("single shard must behave as one ledger")
 	}
 }
