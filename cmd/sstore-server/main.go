@@ -133,9 +133,9 @@ func run(addr, appName string, partitions, maxQueue int, recoveryMode, logPath, 
 	if err != nil {
 		return err
 	}
-	// The "listening on" line is the readiness signal scripts (and the
-	// CI smoke step) wait for; with -addr :0 it is also where the
-	// chosen port is announced.
+	// The "listening on" line is the readiness signal scripts wait for
+	// (server.TestE2EBinaryServedWorkflow and experiments.Cluster among
+	// them); with -addr :0 it is also where the chosen port is announced.
 	if opts.Cluster != nil {
 		fmt.Printf("sstore-server: app %s, node %d of cluster {%s}, recovery %s; listening on %s\n",
 			a.Name, nodeID, opts.Cluster, mode, ln.Addr())

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"sstore/internal/benchutil"
 	"sstore/internal/leaderboard"
 	"sstore/internal/pe"
 	"sstore/internal/stream"
@@ -26,8 +25,8 @@ import (
 //     in-procedure statements but *without* the simulated boundary
 //     cost, separating the trigger mechanism's intrinsic overhead from
 //     the crossing cost it avoids.
-func Ablations(opts Options) (*benchutil.Table, error) {
-	table := benchutil.NewTable("ablation", "config", "metric", "value")
+func Ablations(opts Options) (*Table, error) {
+	table := newTable("ablation", "config", "metric", "value")
 
 	// --- index vs scan ---
 	votes := opts.n(1500, 10000)
@@ -40,7 +39,7 @@ func Ablations(opts Options) (*benchutil.Table, error) {
 		if !indexed {
 			cfg = "scan"
 		}
-		table.AddRow("validation-lookup", cfg, "votes/s", tps)
+		table.addRow("validation-lookup", cfg, "votes/s", tps)
 	}
 
 	// --- batch size ---
@@ -50,7 +49,7 @@ func Ablations(opts Options) (*benchutil.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		table.AddRow("batch-size", fmt.Sprint(size), "tuples/s", tps)
+		table.addRow("batch-size", fmt.Sprint(size), "tuples/s", tps)
 	}
 
 	// --- EE trigger mechanism cost without boundary simulation ---
@@ -60,7 +59,7 @@ func Ablations(opts Options) (*benchutil.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		table.AddRow("trigger-mechanism", mode, "txn/s", tps)
+		table.addRow("trigger-mechanism", mode, "txn/s", tps)
 	}
 	return table, nil
 }
@@ -199,7 +198,7 @@ func ablationTriggerMechanism(triggers bool, window time.Duration) (float64, err
 		return 0, err
 	}
 	v := int64(0)
-	return benchutil.MeasureRate(window, func() error {
+	return measureRate(window, func() error {
 		v++
 		_, err := eng.Call("AB", types.Row{types.NewInt(v)})
 		return err

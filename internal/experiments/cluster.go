@@ -13,7 +13,6 @@ import (
 
 	"sstore"
 	"sstore/client"
-	"sstore/internal/benchutil"
 	"sstore/internal/linearroad"
 	"sstore/internal/server"
 	"sstore/internal/types"
@@ -34,8 +33,8 @@ import (
 // those counts to stats_history verbatim — so for each x-way,
 // Σ seg_stats.cnt + Σ stats_history.cnt must equal the reports
 // ingested for it, whichever node served them.
-func Cluster(opts Options) (*benchutil.Table, error) {
-	table := benchutil.NewTable("config", "nodes", "reports_per_sec", "speedup_vs_1proc", "exactly_once")
+func Cluster(opts Options) (*Table, error) {
+	table := newTable("config", "nodes", "reports_per_sec", "speedup_vs_1proc", "exactly_once")
 	bin, err := buildServerBinary(opts.Dir)
 	if err != nil {
 		return nil, err
@@ -60,7 +59,7 @@ func Cluster(opts Options) (*benchutil.Table, error) {
 		if base > 0 {
 			speedup = tput / base
 		}
-		table.AddRow(name, nodes, tput, speedup, exact)
+		table.addRow(name, nodes, tput, speedup, exact)
 	}
 	return table, nil
 }

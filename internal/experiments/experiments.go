@@ -2,7 +2,9 @@
 // paper's evaluation (§4). Each FigN function builds the systems under
 // test from this repository's engines, runs the paper's workload
 // shape, and returns the result rows; cmd/sstore-bench prints them and
-// bench_test.go wraps them in testing.B benchmarks.
+// experiments_test.go asserts their shapes. Served throughput, latency,
+// reads, spill and allocations are measured by the bench/ harness, not
+// here.
 //
 // Absolute numbers will not match the paper (different hardware,
 // language, and a simulated network — see DESIGN.md §3); the shapes
@@ -21,7 +23,7 @@ import (
 
 // Options tunes experiment scale.
 type Options struct {
-	// Quick shrinks sweeps and windows for CI and testing.B use.
+	// Quick shrinks sweeps and windows for tests and fast passes.
 	Quick bool
 	// Dir is a scratch directory for logs and snapshots (required by
 	// Fig9a/Fig9b).

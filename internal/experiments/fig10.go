@@ -4,7 +4,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"sstore/internal/benchutil"
 	"sstore/internal/leaderboard"
 	"sstore/internal/netsim"
 	"sstore/internal/pe"
@@ -30,11 +29,11 @@ import (
 // Streaming's observed per-batch overheads.
 const sparkScheduleOverhead = 5 * time.Millisecond
 
-func Fig10(opts Options) (*benchutil.Table, error) {
+func Fig10(opts Options) (*Table, error) {
 	votes := opts.n(2000, 50000)
 	cfgVal := leaderboard.Config{}
 	cfgNoVal := leaderboard.Config{SkipValidation: true}
-	table := benchutil.NewTable("system", "variant", "votes_per_s")
+	table := newTable("system", "variant", "votes_per_s")
 
 	type run struct {
 		system  string
@@ -54,7 +53,7 @@ func Fig10(opts Options) (*benchutil.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		table.AddRow(r.system, r.variant, tps)
+		table.addRow(r.system, r.variant, tps)
 	}
 	return table, nil
 }

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"sstore/internal/benchutil"
 	"sstore/internal/linearroad"
 	"sstore/internal/pe"
 	"sstore/internal/stream"
@@ -15,10 +14,10 @@ import (
 
 // fig11Accel compresses simulated time: input is offered at accel×
 // real time, so one core's capacity lands in the paper's ballpark of
-// ~16 supported x-ways (calibrated on the reference host — see
-// EXPERIMENTS.md). DESIGN.md documents this substitution (the paper
-// ran 30 real minutes per configuration; this harness keeps each probe
-// under a couple of seconds).
+// ~16 supported x-ways (calibrated on the reference host; re-check it
+// with `sstore-bench -exp fig11` on a new one). DESIGN.md documents this
+// substitution (the paper ran 30 real minutes per configuration; this
+// harness keeps each probe under a couple of seconds).
 const fig11Accel = 1300.0
 
 // fig11LatencyThreshold is the processing-latency bound a
@@ -32,9 +31,9 @@ const fig11LatencyThreshold = time.Second
 // position reports are all processed under the latency threshold,
 // expecting roughly linear growth with a 5–10% per-core drop-off
 // (§4.7).
-func Fig11(opts Options) (*benchutil.Table, error) {
+func Fig11(opts Options) (*Table, error) {
 	coreOptions := opts.pick([]int{1, 2}, []int{1, 2, 4, 8})
-	table := benchutil.NewTable("partitions", "max_xways", "xways_per_partition", "note")
+	table := newTable("partitions", "max_xways", "xways_per_partition", "note")
 	for _, cores := range coreOptions {
 		note := ""
 		if cores > runtime.NumCPU() {
@@ -48,7 +47,7 @@ func Fig11(opts Options) (*benchutil.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		table.AddRow(cores, maxX, float64(maxX)/float64(cores), note)
+		table.addRow(cores, maxX, float64(maxX)/float64(cores), note)
 	}
 	return table, nil
 }
@@ -125,7 +124,7 @@ func fig11Probe(opts Options, cores, xways int) (bool, error) {
 	rate := gen.ReportsPerSimSecond() * fig11Accel
 	window := time.Duration(opts.n(250, 900)) * time.Millisecond
 	var batchID atomic.Int64
-	res, err := benchutil.OpenLoop(rate, window, func(done func()) error {
+	res, err := openLoop(rate, window, func(done func()) error {
 		r := gen.Next()
 		b := &stream.Batch{ID: batchID.Add(1), Rows: []types.Row{r.Row()}}
 		ch, err := eng.IngestAsync(linearroad.StreamReports, b)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"sstore/internal/benchutil"
 	"sstore/internal/netsim"
 	"sstore/internal/pe"
 	"sstore/internal/types"
@@ -17,10 +16,10 @@ import (
 // the procedure submits each stage (an INSERT plus the DELETE that GC
 // would have done) as separate execution batches from the PE to the
 // EE, paying the boundary crossing every time (§4.1).
-func Fig5(opts Options) (*benchutil.Table, error) {
+func Fig5(opts Options) (*Table, error) {
 	stages := opts.pick([]int{1, 4, 10}, []int{1, 2, 4, 6, 8, 10})
 	window := time.Duration(opts.n(150, 600)) * time.Millisecond
-	table := benchutil.NewTable("ee_triggers", "sstore_tps", "hstore_tps", "speedup")
+	table := newTable("ee_triggers", "sstore_tps", "hstore_tps", "speedup")
 
 	for _, n := range stages {
 		ss, err := fig5Rate(n, true, window)
@@ -31,7 +30,7 @@ func Fig5(opts Options) (*benchutil.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		table.AddRow(n, ss, hs, ss/hs)
+		table.addRow(n, ss, hs, ss/hs)
 	}
 	return table, nil
 }
@@ -99,7 +98,7 @@ func fig5Rate(stages int, eeTriggers bool, window time.Duration) (float64, error
 		return 0, err
 	}
 	v := int64(0)
-	return benchutil.MeasureRate(window, func() error {
+	return measureRate(window, func() error {
 		v++
 		_, err := eng.Call("F5", types.Row{types.NewInt(v)})
 		return err

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"sstore/internal/benchutil"
 	"sstore/internal/stream"
 	"sstore/internal/types"
 )
@@ -18,10 +17,10 @@ import (
 // submitting the next, paying a round trip per transaction — its
 // throughput tapers early while S-Store's stays roughly flat
 // (workflows/sec, log scale in the paper).
-func Fig6(opts Options) (*benchutil.Table, error) {
+func Fig6(opts Options) (*Table, error) {
 	triggers := opts.pick([]int{1, 4}, []int{1, 2, 4, 8, 16})
 	workflows := opts.n(300, 2000)
-	table := benchutil.NewTable("pe_triggers", "sstore_wf_per_s", "hstore_wf_per_s", "speedup")
+	table := newTable("pe_triggers", "sstore_wf_per_s", "hstore_wf_per_s", "speedup")
 
 	window := time.Duration(opts.n(250, 1000)) * time.Millisecond
 	for _, n := range triggers {
@@ -34,7 +33,7 @@ func Fig6(opts Options) (*benchutil.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		table.AddRow(n, ss, hs, ss/hs)
+		table.addRow(n, ss, hs, ss/hs)
 	}
 	return table, nil
 }
@@ -82,7 +81,7 @@ func fig6HStore(spCount int, window time.Duration) (float64, error) {
 		names[i] = fmt.Sprintf("HChainSP%d", i+1)
 	}
 	b := int64(0)
-	return benchutil.MeasureRate(window, func() error {
+	return measureRate(window, func() error {
 		b++
 		if _, err := eng.Call("HChainFeed", types.Row{types.NewInt(b)}); err != nil {
 			return err

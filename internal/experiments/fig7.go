@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"sstore/internal/benchutil"
 	"sstore/internal/netsim"
 	"sstore/internal/pe"
 	"sstore/internal/types"
@@ -17,10 +16,10 @@ import (
 // separate metadata table, sliding with a mix of SQL and host-language
 // logic (§4.3). Throughput is swept over window size; slide is a fixed
 // tenth of the size (the paper notes size dominates slide).
-func Fig7(opts Options) (*benchutil.Table, error) {
+func Fig7(opts Options) (*Table, error) {
 	sizes := opts.pick([]int{10, 100}, []int{10, 50, 100, 500, 1000})
 	window := time.Duration(opts.n(150, 600)) * time.Millisecond
-	table := benchutil.NewTable("window_size", "sstore_tps", "hstore_tps", "speedup")
+	table := newTable("window_size", "sstore_tps", "hstore_tps", "speedup")
 
 	for _, size := range sizes {
 		slide := size / 10
@@ -35,7 +34,7 @@ func Fig7(opts Options) (*benchutil.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		table.AddRow(size, ss, hs, ss/hs)
+		table.addRow(size, ss, hs, ss/hs)
 	}
 	return table, nil
 }
@@ -58,7 +57,7 @@ func fig7Native(size, slide int, window time.Duration) (float64, error) {
 		return 0, err
 	}
 	v := int64(0)
-	return benchutil.MeasureRate(window, func() error {
+	return measureRate(window, func() error {
 		v++
 		_, err := eng.Call("F7", types.Row{types.NewInt(v)})
 		return err
@@ -135,7 +134,7 @@ func fig7Manual(size, slide int, window time.Duration) (float64, error) {
 		return 0, err
 	}
 	v := int64(0)
-	return benchutil.MeasureRate(window, func() error {
+	return measureRate(window, func() error {
 		v++
 		_, err := eng.Call("F7", types.Row{types.NewInt(v)})
 		return err

@@ -4,7 +4,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"sstore/internal/benchutil"
 	"sstore/internal/leaderboard"
 	"sstore/internal/netsim"
 	"sstore/internal/pe"
@@ -20,7 +19,7 @@ import (
 // run the chain itself, synchronously deciding each next call from the
 // previous result, so its throughput tapers as soon as the offered
 // rate exceeds 1/(workflow round trips) (§4.5).
-func Fig8(opts Options) (*benchutil.Table, error) {
+func Fig8(opts Options) (*Table, error) {
 	rateInts := opts.pick([]int{500, 2000}, []int{250, 500, 1000, 2000, 4000, 8000})
 	rates := make([]float64, len(rateInts))
 	for i, r := range rateInts {
@@ -28,7 +27,7 @@ func Fig8(opts Options) (*benchutil.Table, error) {
 	}
 	window := time.Duration(opts.n(400, 1500)) * time.Millisecond
 	cfg := leaderboard.Config{}
-	table := benchutil.NewTable("offered_votes_per_s", "sstore_wf_per_s", "hstore_wf_per_s")
+	table := newTable("offered_votes_per_s", "sstore_wf_per_s", "hstore_wf_per_s")
 
 	for _, rate := range rates {
 		ss, err := fig8SStore(cfg, rate, window)
@@ -39,7 +38,7 @@ func Fig8(opts Options) (*benchutil.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		table.AddRow(int(rate), ss, hs)
+		table.addRow(int(rate), ss, hs)
 	}
 	return table, nil
 }
@@ -86,7 +85,7 @@ func fig8SStore(cfg leaderboard.Config, rate float64, window time.Duration) (flo
 	defer eng.Close()
 	gen := leaderboard.NewGenerator(11, cfg)
 	var batchID atomic.Int64
-	res, err := benchutil.OpenLoop(rate, window, func(done func()) error {
+	res, err := openLoop(rate, window, func(done func()) error {
 		b := &stream.Batch{ID: batchID.Add(1), Rows: []types.Row{gen.Next()}}
 		// The border TE's commit marks the workflow underway; the
 		// downstream TEs run immediately after via PE triggers.

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"sstore/internal/benchutil"
 	"sstore/internal/netsim"
 	"sstore/internal/pe"
 	"sstore/internal/recovery"
@@ -20,13 +19,13 @@ import (
 // every logged commit fsyncs individually. Strong recovery logs every
 // TE, so throughput falls as workflows grow; weak recovery logs only
 // the border TE, one record per workflow regardless of length (§4.4).
-func Fig9a(opts Options) (*benchutil.Table, error) {
+func Fig9a(opts Options) (*Table, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("experiments: Fig9a needs Options.Dir")
 	}
 	triggers := opts.pick([]int{1, 4}, []int{1, 2, 4, 8})
 	workflows := opts.n(100, 500)
-	table := benchutil.NewTable("pe_triggers", "strong_wf_per_s", "weak_wf_per_s", "weak_speedup", "strong_log_recs", "weak_log_recs")
+	table := newTable("pe_triggers", "strong_wf_per_s", "weak_wf_per_s", "weak_speedup", "strong_log_recs", "weak_log_recs")
 
 	for _, n := range triggers {
 		spCount := n + 1
@@ -38,7 +37,7 @@ func Fig9a(opts Options) (*benchutil.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		table.AddRow(n, strongTPS, weakTPS, weakTPS/strongTPS, int(strongRecs), int(weakRecs))
+		table.addRow(n, strongTPS, weakTPS, weakTPS/strongTPS, int(strongRecs), int(weakRecs))
 	}
 	return table, nil
 }
@@ -85,13 +84,13 @@ func fig9Run(dir string, mode recovery.Mode, spCount, k int) (float64, uint64, e
 // length; weak recovery replays only border records and re-derives the
 // interior TEs inside the engine via PE triggers, staying roughly flat
 // (§4.4).
-func Fig9b(opts Options) (*benchutil.Table, error) {
+func Fig9b(opts Options) (*Table, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("experiments: Fig9b needs Options.Dir")
 	}
 	triggers := opts.pick([]int{1, 4}, []int{1, 2, 4, 8})
 	workflows := opts.n(50, 200)
-	table := benchutil.NewTable("pe_triggers", "strong_recovery_ms", "weak_recovery_ms", "strong_over_weak")
+	table := newTable("pe_triggers", "strong_recovery_ms", "weak_recovery_ms", "strong_over_weak")
 
 	for _, n := range triggers {
 		spCount := n + 1
@@ -103,7 +102,7 @@ func Fig9b(opts Options) (*benchutil.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		table.AddRow(n, strongMS, weakMS, strongMS/weakMS)
+		table.addRow(n, strongMS, weakMS, strongMS/weakMS)
 	}
 	return table, nil
 }

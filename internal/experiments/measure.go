@@ -1,8 +1,8 @@
-// Package benchutil provides the measurement machinery shared by the
-// experiment harness (cmd/sstore-bench) and the testing.B benchmarks:
-// latency recording with percentiles, an open-loop rate-controlled
-// driver, and aligned table printing for the paper-style result rows.
-package benchutil
+package experiments
+
+// The measurement machinery the figures share: latency recording with
+// percentiles, an open-loop rate-controlled driver, closed-loop rate
+// probes, and aligned table printing for the paper-style result rows.
 
 import (
 	"fmt"
@@ -13,30 +13,23 @@ import (
 	"time"
 )
 
-// LatencyRecorder accumulates durations and reports percentiles. It is
+// latencyRecorder accumulates durations and reports percentiles. It is
 // safe for concurrent Record calls.
-type LatencyRecorder struct {
+type latencyRecorder struct {
 	mu      sync.Mutex
 	samples []time.Duration
 }
 
 // Record adds one sample.
-func (r *LatencyRecorder) Record(d time.Duration) {
+func (r *latencyRecorder) Record(d time.Duration) {
 	r.mu.Lock()
 	r.samples = append(r.samples, d)
 	r.mu.Unlock()
 }
 
-// Count returns the number of samples.
-func (r *LatencyRecorder) Count() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.samples)
-}
-
 // Percentile returns the p-th percentile (0 < p <= 100), or 0 with no
 // samples.
-func (r *LatencyRecorder) Percentile(p float64) time.Duration {
+func (r *latencyRecorder) Percentile(p float64) time.Duration {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if len(r.samples) == 0 {
@@ -54,24 +47,8 @@ func (r *LatencyRecorder) Percentile(p float64) time.Duration {
 	return sorted[idx]
 }
 
-// Mean returns the arithmetic mean, or 0 with no samples.
-func (r *LatencyRecorder) Mean() time.Duration {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.samples) == 0 {
-		return 0
-	}
-	var total time.Duration
-	for _, s := range r.samples {
-		total += s
-	}
-	return total / time.Duration(len(r.samples))
-}
-
-// OpenLoopResult reports one open-loop run.
-type OpenLoopResult struct {
-	// Offered is the configured request rate (per second).
-	Offered float64
+// openLoopResult reports one open-loop run.
+type openLoopResult struct {
 	// Completed is the number of requests that finished within the
 	// measurement window plus drain.
 	Completed int
@@ -79,20 +56,20 @@ type OpenLoopResult struct {
 	// window.
 	Throughput float64
 	// Latency holds per-request completion latencies.
-	Latency *LatencyRecorder
+	Latency *latencyRecorder
 }
 
-// OpenLoop submits requests at a fixed rate for the given duration,
+// openLoop submits requests at a fixed rate for the given duration,
 // without waiting for completions (an asynchronous client, as in §4).
 // submit must arrange for done() to be called when the request
-// completes; OpenLoop waits for all issued requests to finish after
+// completes; openLoop waits for all issued requests to finish after
 // the window closes and reports throughput over the send window.
 // Returning an error from submit stops the run.
-func OpenLoop(rate float64, window time.Duration, submit func(done func()) error) (*OpenLoopResult, error) {
+func openLoop(rate float64, window time.Duration, submit func(done func()) error) (*openLoopResult, error) {
 	if rate <= 0 {
-		return nil, fmt.Errorf("benchutil: rate must be positive")
+		return nil, fmt.Errorf("experiments: rate must be positive")
 	}
-	res := &OpenLoopResult{Offered: rate, Latency: &LatencyRecorder{}}
+	res := &openLoopResult{Latency: &latencyRecorder{}}
 	interval := time.Duration(float64(time.Second) / rate)
 	var wg sync.WaitGroup
 	var completedInWindow int64
@@ -131,10 +108,10 @@ func OpenLoop(rate float64, window time.Duration, submit func(done func()) error
 	return res, nil
 }
 
-// MeasureRate runs fn repeatedly for the window and returns executions
+// measureRate runs fn repeatedly for the window and returns executions
 // per second — the closed-loop throughput probe used by the
 // micro-benchmarks.
-func MeasureRate(window time.Duration, fn func() error) (float64, error) {
+func measureRate(window time.Duration, fn func() error) (float64, error) {
 	start := time.Now()
 	n := 0
 	for time.Since(start) < window {
@@ -146,14 +123,14 @@ func MeasureRate(window time.Duration, fn func() error) (float64, error) {
 	return float64(n) / time.Since(start).Seconds(), nil
 }
 
-// MeasureThroughput times n sequential submissions plus the settle
+// measureThroughput times n sequential submissions plus the settle
 // step (typically the engine drain, so every asynchronous workflow the
 // submissions started is counted) and returns operations per second
 // over the whole run — the closed-workload throughput probe used by the
 // partition-scaling benchmark.
-func MeasureThroughput(n int, submit func(i int) error, settle func() error) (float64, error) {
+func measureThroughput(n int, submit func(i int) error, settle func() error) (float64, error) {
 	if n <= 0 {
-		return 0, fmt.Errorf("benchutil: n must be positive")
+		return 0, fmt.Errorf("experiments: n must be positive")
 	}
 	start := time.Now()
 	for i := 0; i < n; i++ {
@@ -161,30 +138,26 @@ func MeasureThroughput(n int, submit func(i int) error, settle func() error) (fl
 			return 0, err
 		}
 	}
-	if settle != nil {
-		if err := settle(); err != nil {
-			return 0, err
-		}
+	if err := settle(); err != nil {
+		return 0, err
 	}
 	return float64(n) / time.Since(start).Seconds(), nil
 }
 
 // Table accumulates aligned rows for printing paper-style result
-// tables; it keeps the raw values alongside the formatted cells so
-// results can also be exported machine-readably (sstore-bench -json).
+// tables.
 type Table struct {
 	header []string
 	rows   [][]string
-	raw    [][]any
 }
 
-// NewTable creates a table with the given column headers.
-func NewTable(header ...string) *Table {
+// newTable creates a table with the given column headers.
+func newTable(header ...string) *Table {
 	return &Table{header: header}
 }
 
-// AddRow appends a row; values are formatted with %v.
-func (t *Table) AddRow(values ...any) {
+// addRow appends a row; values are formatted with %v.
+func (t *Table) addRow(values ...any) {
 	row := make([]string, len(values))
 	for i, v := range values {
 		switch v := v.(type) {
@@ -195,15 +168,7 @@ func (t *Table) AddRow(values ...any) {
 		}
 	}
 	t.rows = append(t.rows, row)
-	t.raw = append(t.raw, append([]any(nil), values...))
 }
-
-// Columns returns the column headers.
-func (t *Table) Columns() []string { return t.header }
-
-// Rows returns the rows' raw (unformatted) values, one slice per
-// AddRow call.
-func (t *Table) Rows() [][]any { return t.raw }
 
 // Print writes the table, aligned, to w.
 func (t *Table) Print(w io.Writer) {

@@ -1,4 +1,4 @@
-package benchutil
+package experiments
 
 import (
 	"strings"
@@ -8,15 +8,15 @@ import (
 )
 
 func TestLatencyRecorderPercentiles(t *testing.T) {
-	r := &LatencyRecorder{}
-	if r.Percentile(99) != 0 || r.Mean() != 0 {
+	r := &latencyRecorder{}
+	if r.Percentile(99) != 0 {
 		t.Error("empty recorder should report zero")
 	}
 	for i := 1; i <= 100; i++ {
 		r.Record(time.Duration(i) * time.Millisecond)
 	}
-	if r.Count() != 100 {
-		t.Errorf("count = %d", r.Count())
+	if len(r.samples) != 100 {
+		t.Errorf("count = %d", len(r.samples))
 	}
 	if got := r.Percentile(50); got != 50*time.Millisecond {
 		t.Errorf("p50 = %v", got)
@@ -27,13 +27,10 @@ func TestLatencyRecorderPercentiles(t *testing.T) {
 	if got := r.Percentile(100); got != 100*time.Millisecond {
 		t.Errorf("p100 = %v", got)
 	}
-	if got := r.Mean(); got != 50500*time.Microsecond {
-		t.Errorf("mean = %v", got)
-	}
 }
 
 func TestLatencyRecorderConcurrent(t *testing.T) {
-	r := &LatencyRecorder{}
+	r := &latencyRecorder{}
 	done := make(chan struct{})
 	for g := 0; g < 4; g++ {
 		go func() {
@@ -46,14 +43,14 @@ func TestLatencyRecorderConcurrent(t *testing.T) {
 	for g := 0; g < 4; g++ {
 		<-done
 	}
-	if r.Count() != 4000 {
-		t.Errorf("count = %d", r.Count())
+	if len(r.samples) != 4000 {
+		t.Errorf("count = %d", len(r.samples))
 	}
 }
 
 func TestOpenLoopCompletesAll(t *testing.T) {
 	var inflight atomic.Int64
-	res, err := OpenLoop(2000, 100*time.Millisecond, func(done func()) error {
+	res, err := openLoop(2000, 100*time.Millisecond, func(done func()) error {
 		inflight.Add(1)
 		go func() {
 			time.Sleep(time.Millisecond)
@@ -66,7 +63,7 @@ func TestOpenLoopCompletesAll(t *testing.T) {
 		t.Fatal(err)
 	}
 	if inflight.Load() != 0 {
-		t.Error("OpenLoop returned before all requests completed")
+		t.Error("openLoop returned before all requests completed")
 	}
 	// ~200 expected at 2000/s over 100ms; allow generous slack for
 	// scheduler jitter.
@@ -76,17 +73,17 @@ func TestOpenLoopCompletesAll(t *testing.T) {
 	if res.Throughput <= 0 {
 		t.Errorf("throughput = %v", res.Throughput)
 	}
-	if res.Latency.Count() == 0 {
+	if len(res.Latency.samples) == 0 {
 		t.Error("latencies not recorded")
 	}
-	if _, err := OpenLoop(0, time.Millisecond, func(func()) error { return nil }); err == nil {
+	if _, err := openLoop(0, time.Millisecond, func(func()) error { return nil }); err == nil {
 		t.Error("zero rate should be rejected")
 	}
 }
 
 func TestMeasureRate(t *testing.T) {
 	n := 0
-	rate, err := MeasureRate(50*time.Millisecond, func() error {
+	rate, err := measureRate(50*time.Millisecond, func() error {
 		n++
 		time.Sleep(time.Millisecond)
 		return nil
@@ -103,9 +100,9 @@ func TestMeasureRate(t *testing.T) {
 }
 
 func TestTablePrint(t *testing.T) {
-	tb := NewTable("name", "value")
-	tb.AddRow("short", 1)
-	tb.AddRow("a-much-longer-name", 2.5)
+	tb := newTable("name", "value")
+	tb.addRow("short", 1)
+	tb.addRow("a-much-longer-name", 2.5)
 	var sb strings.Builder
 	tb.Print(&sb)
 	out := sb.String()

@@ -5,7 +5,6 @@ import (
 	"os"
 	"time"
 
-	"sstore/internal/benchutil"
 	"sstore/internal/linearroad"
 	"sstore/internal/pe"
 	"sstore/internal/recovery"
@@ -49,8 +48,8 @@ const scaleWorkQueries = 8
 // partition flushes its own file, so the logged workflow still scales
 // with partitions; a shared log would re-serialize on one mutex and
 // one fsync queue exactly the work the routing spread out.
-func Scale(opts Options) (*benchutil.Table, error) {
-	table := benchutil.NewTable("workload", "partitions", "workflows_per_sec", "speedup_vs_1p")
+func Scale(opts Options) (*Table, error) {
+	table := newTable("workload", "partitions", "workflows_per_sec", "speedup_vs_1p")
 	parts := opts.pick([]int{1, 4}, []int{1, 2, 4, 8})
 	workloads := []struct {
 		name  string
@@ -74,7 +73,7 @@ func Scale(opts Options) (*benchutil.Table, error) {
 			if base > 0 {
 				speedup = tput / base
 			}
-			table.AddRow(w.name, np, tput, speedup)
+			table.addRow(w.name, np, tput, speedup)
 		}
 	}
 	return table, nil
@@ -159,7 +158,7 @@ func scaleRoutedProbe(opts Options, parts int) (float64, error) {
 // pipeline engine and reports workflows per second.
 func driveScaleRouted(opts Options, eng *pe.Engine) (float64, error) {
 	n := opts.n(150, 600)
-	tput, err := benchutil.MeasureThroughput(n,
+	tput, err := measureThroughput(n,
 		func(i int) error {
 			b := &stream.Batch{
 				ID:   int64(i + 1),
@@ -246,7 +245,7 @@ func scaleLinearRoadProbe(opts Options, parts int) (float64, error) {
 	}
 	gen := linearroad.NewGenerator(23, cfg)
 	n := opts.n(150, 600)
-	tput, err := benchutil.MeasureThroughput(n,
+	tput, err := measureThroughput(n,
 		func(i int) error {
 			r := gen.Next()
 			return eng.Ingest(linearroad.StreamReports, &stream.Batch{ID: int64(i + 1), Rows: []types.Row{r.Row()}})

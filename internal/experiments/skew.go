@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"sstore/internal/benchutil"
 	"sstore/internal/pe"
 	"sstore/internal/types"
 )
@@ -45,8 +44,8 @@ const skewWorkers = 4
 // over the serial (workers=0) run of the identical call sequence.
 // zipf_s=8 is effectively fully skewed (≈99.6% of calls on one
 // partition).
-func Skew(opts Options) (*benchutil.Table, error) {
-	table := benchutil.NewTable("workload", "zipf_s", "workers",
+func Skew(opts Options) (*Table, error) {
+	table := newTable("workload", "zipf_s", "workers",
 		"calls_per_sec", "p50_ms", "p99_ms", "parallel_tasks", "speedup_vs_serial")
 	sVals := []float64{1.1, 1.5, 3.0, 8.0}
 	workers := []int{0, 2, skewWorkers}
@@ -72,7 +71,7 @@ func Skew(opts Options) (*benchutil.Table, error) {
 				if base > 0 {
 					speedup = tput / base
 				}
-				table.AddRow(workload, s, w, tput,
+				table.addRow(workload, s, w, tput,
 					float64(p50)/1e6, float64(p99)/1e6, par, speedup)
 			}
 		}
@@ -148,10 +147,10 @@ func skewProbe(conflicting bool, workers int, routes []int) (
 		return 0, 0, 0, 0, err
 	}
 	defer eng.Close()
-	var lat benchutil.LatencyRecorder
+	var lat latencyRecorder
 	var wg sync.WaitGroup
 	errc := make(chan error, 1)
-	tput, err = benchutil.MeasureThroughput(len(routes),
+	tput, err = measureThroughput(len(routes),
 		func(i int) error {
 			sp := "SkewShared"
 			if !conflicting {

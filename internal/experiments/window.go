@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"sstore/internal/benchutil"
 	"sstore/internal/pe"
 	"sstore/internal/types"
 )
@@ -24,10 +23,10 @@ import (
 //
 // No simulated network is applied: this experiment isolates the
 // storage and execution layers the tentpole rebuilt.
-func Window(opts Options) (*benchutil.Table, error) {
+func Window(opts Options) (*Table, error) {
 	sizes := opts.pick([]int{64, 512}, []int{100, 1000, 10000})
 	window := time.Duration(opts.n(120, 400)) * time.Millisecond
-	table := benchutil.NewTable("window_size", "insert_tps", "trig_maintained_tps", "trig_scan_tps", "maintained_speedup")
+	table := newTable("window_size", "insert_tps", "trig_maintained_tps", "trig_scan_tps", "maintained_speedup")
 	for _, size := range sizes {
 		ins, err := windowProbe(size, window, false, false)
 		if err != nil {
@@ -41,7 +40,7 @@ func Window(opts Options) (*benchutil.Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("window scan size=%d: %w", size, err)
 		}
-		table.AddRow(size, ins, maint, scan, maint/scan)
+		table.addRow(size, ins, maint, scan, maint/scan)
 	}
 	return table, nil
 }
@@ -110,7 +109,7 @@ func windowProbe(size int, window time.Duration, maintained, trigger bool) (floa
 	}
 	defer eng.Close()
 	v := int64(size)
-	return benchutil.MeasureRate(window, func() error {
+	return measureRate(window, func() error {
 		v++
 		_, err := eng.Call("WFeed", types.Row{types.NewInt(v)})
 		return err

@@ -1,9 +1,13 @@
 package pe
 
 import (
+	"runtime"
 	"testing"
 
 	"sstore/internal/ee"
+	"sstore/internal/stream"
+	"sstore/internal/types"
+	"sstore/internal/workflow"
 )
 
 // The //sstore:allocgate markers below pair with //sstore:nomalloc
@@ -79,5 +83,68 @@ func TestConflictOpsAllocFree(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("conflictsAny allocates %v/op; the dispatcher runs it per queued task", n)
+	}
+}
+
+// TestIngestSteadyMallocsBounded bounds heap allocations per batch end
+// to end at steady state: a two-row batch through a border SP into a
+// full 512-row sliding window. The scheduler, SQL layer and batch
+// construction allocate by design, so this is a ceiling, not zero:
+// pooled tasks, contexts and version chains keep it near 30 on a
+// 2-vCPU x86-64 host, and the 200 bound still catches any path that
+// allocates per window row (512 per slide).
+func TestIngestSteadyMallocsBounded(t *testing.T) {
+	eng, err := NewEngine(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	for _, ddl := range []string{
+		"CREATE STREAM al_in (v BIGINT)",
+		"CREATE WINDOW al_win (v BIGINT) SIZE 512 SLIDE 1",
+	} {
+		if err := eng.ExecDDL(ddl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	err = eng.RegisterProc(&StoredProc{Name: "AlFeed", Func: func(ctx *ProcCtx) error {
+		_, err := ctx.Query("INSERT INTO al_win SELECT v FROM al_in")
+		return err
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := workflow.New("alloc-feed", []workflow.Node{{SP: "AlFeed", Input: "al_in"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.DeployWorkflow(w); err != nil {
+		t.Fatal(err)
+	}
+
+	rows := []types.Row{{types.NewInt(1)}, {types.NewInt(-1)}}
+	ingest := func(first, count int64) {
+		for id := first; id < first+count; id++ {
+			if err := eng.IngestSync("al_in", &stream.Batch{ID: id, Rows: rows}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Warm-up fills the window (so slides start evicting, the steady
+	// state) and lets the pools reach their working set.
+	const n, warm = 500, 850
+	ingest(1, warm)
+	runtime.GC()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	ingest(warm+1, n)
+	runtime.ReadMemStats(&m1)
+	if err := eng.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	perBatch := float64(m1.Mallocs-m0.Mallocs) / n
+	t.Logf("steady ingest: %.1f mallocs/batch", perBatch)
+	if perBatch >= 200 {
+		t.Fatalf("steady ingest allocates %.1f/batch, want < 200", perBatch)
 	}
 }

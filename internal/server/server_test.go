@@ -150,13 +150,22 @@ func TestServedPipelineExactlyOnce(t *testing.T) {
 	}
 }
 
-// TestServedBackpressureRetry pins a served engine at MaxQueueDepth=2
-// and overloads it from two directions — an OLTP call flood and a
-// sequential ingest feed — asserting that overload rejections surface
+// TestServedBackpressureRetry pins a served engine at MaxQueueDepth 1
+// and 2 and overloads it from two directions — an OLTP call flood and
+// a sequential ingest feed — asserting that overload rejections surface
 // as sstore.ErrOverloaded with a usable retry-after hint, and that
-// retried requests all eventually commit exactly once.
+// retried requests all eventually commit exactly once. Depth 1 is the
+// tightest bound the option allows.
 func TestServedBackpressureRetry(t *testing.T) {
-	eng, err := pe.NewEngine(pe.Options{Partitions: 1, MaxQueueDepth: 2})
+	for _, depth := range []int{1, 2} {
+		t.Run(fmt.Sprintf("depth=%d", depth), func(t *testing.T) {
+			servedBackpressureRetry(t, depth)
+		})
+	}
+}
+
+func servedBackpressureRetry(t *testing.T, depth int) {
+	eng, err := pe.NewEngine(pe.Options{Partitions: 1, MaxQueueDepth: depth})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -292,6 +292,28 @@ func TestReaderFrameAllocFree(t *testing.T) {
 	}
 }
 
+// TestLoggerAppendAllocFree: once the logger's encode scratch has
+// grown, framing and buffering a record allocates nothing. SyncNone
+// keeps fsync out of the measurement; every logged TE pays this path.
+func TestLoggerAppendAllocFree(t *testing.T) {
+	l, err := Open(Options{Path: filepath.Join(t.TempDir(), "cmd.log"), Policy: SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	rec := testRecord(KindOLTP, "SP1", 0)
+	if _, err := l.Append(rec); err != nil { // warm the encode scratch
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		if _, err := l.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("Logger.Append allocates %v/op over a warm encode buffer; every logged TE appends through it", n)
+	}
+}
+
 // SetNextSeqForTest positions a standalone logger's sequence counter;
 // tests reopening a log use it to continue past replayed records the
 // way recovery does.

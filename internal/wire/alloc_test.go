@@ -5,6 +5,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"testing"
+
+	"sstore/internal/types"
 )
 
 // The //sstore:allocgate markers below pair with //sstore:nomalloc
@@ -37,6 +39,19 @@ func TestReadFrameBufAllocFree(t *testing.T) {
 		scratch = payload
 	}); n != 0 {
 		t.Fatalf("ReadFrameBuf allocates %v/op over a warm scratch buffer; the conn loops call it per frame", n)
+	}
+}
+
+// TestAppendRequestAllocFree: framing an ingest request into a warm
+// buffer allocates nothing; the client encodes every batch through it.
+func TestAppendRequestAllocFree(t *testing.T) {
+	req := &Request{ID: 9, Op: OpIngest, Stream: "s1", BatchID: 3,
+		Rows: []types.Row{{types.NewInt(1)}, {types.NewInt(2)}}}
+	buf := AppendRequest(nil, req)
+	if n := testing.AllocsPerRun(1000, func() {
+		buf = AppendRequest(buf[:0], req)
+	}); n != 0 {
+		t.Fatalf("AppendRequest allocates %v/op into a warm buffer; the client frames every batch through it", n)
 	}
 }
 
