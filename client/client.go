@@ -16,11 +16,8 @@
 package client
 
 import (
-	"bufio"
 	"fmt"
 	"math/rand/v2"
-	"net"
-	"sync"
 	"time"
 
 	"sstore"
@@ -41,154 +38,33 @@ type Stats = wire.Stats
 // concurrent use; responses are matched to requests by ID, so
 // concurrent in-flight requests complete independently.
 type Client struct {
-	conn net.Conn
-
-	// wmu serializes request writes; each request is framed and
-	// flushed as one unit.
-	wmu sync.Mutex
-	bw  *bufio.Writer
-
-	mu      sync.Mutex
-	nextID  uint64
-	pending map[uint64]chan *wire.Response
-	err     error // sticky transport failure, fails all later requests
+	conn *wire.Conn
 }
 
 // Dial connects to a server at addr ("host:port") and completes the
 // protocol handshake: both sides lead with magic + version bytes, and
 // a peer that is not an sstore server of the same protocol version is
 // rejected here with a precise error instead of failing obscurely on
-// the first frame.
+// the first frame. The connect and the handshake are both bounded.
 func Dial(addr string) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
+	conn, err := wire.Dial(addr)
 	if err != nil {
-		return nil, err
-	}
-	//lint:allow errdrop -- deadline errors surface on the guarded handshake I/O
-	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	br := bufio.NewReader(conn)
-	if _, err := conn.Write(wire.AppendHello(nil)); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("client: handshake: %w", err)
-	}
-	if err := wire.ReadHello(br); err != nil {
-		conn.Close()
 		return nil, fmt.Errorf("client: %w", err)
 	}
-	//lint:allow errdrop -- clearing a deadline on a live conn cannot fail meaningfully
-	conn.SetDeadline(time.Time{})
-	c := &Client{
-		conn:    conn,
-		bw:      bufio.NewWriter(conn),
-		pending: make(map[uint64]chan *wire.Response),
-	}
-	// The handshake reader carries over: it may already have buffered
-	// frame bytes past the hello.
-	go c.readLoop(br)
-	return c, nil
+	return &Client{conn: conn}, nil
 }
 
 // Close tears down the connection; in-flight requests fail.
 func (c *Client) Close() error {
-	c.fail(fmt.Errorf("client: closed"))
-	return c.conn.Close()
-}
-
-// readLoop delivers responses to their waiting requests until the
-// connection dies, then fails everything still pending.
-func (c *Client) readLoop(br *bufio.Reader) {
-	// One grow-only frame buffer for the connection's lifetime:
-	// DecodeResponse copies everything it keeps, so each frame may
-	// overwrite the last.
-	var scratch []byte
-	for {
-		payload, err := wire.ReadFrameBuf(br, scratch)
-		scratch = payload
-		if err != nil {
-			c.fail(fmt.Errorf("client: connection lost: %w", err))
-			return
-		}
-		resp, err := wire.DecodeResponse(payload)
-		if err != nil {
-			c.fail(fmt.Errorf("client: %w", err))
-			c.conn.Close()
-			return
-		}
-		c.mu.Lock()
-		ch, ok := c.pending[resp.ID]
-		delete(c.pending, resp.ID)
-		c.mu.Unlock()
-		if ok {
-			ch <- resp
-		}
-	}
+	c.conn.Close()
+	return nil
 }
 
 // Broken reports whether the connection has died (sticky transport
 // failure): every further request on this client fails, and the caller
 // should redial. Request-level errors (abort, overload, routing) do
 // not break a client.
-func (c *Client) Broken() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.err != nil
-}
-
-// fail marks the client broken and releases every waiter.
-func (c *Client) fail(err error) {
-	c.mu.Lock()
-	if c.err == nil {
-		c.err = err
-	}
-	pending := c.pending
-	c.pending = make(map[uint64]chan *wire.Response)
-	c.mu.Unlock()
-	for _, ch := range pending {
-		close(ch)
-	}
-}
-
-// send registers a pending slot and writes the framed request. The
-// returned channel receives the response, or closes on transport
-// failure.
-func (c *Client) send(req *wire.Request) (chan *wire.Response, error) {
-	ch := make(chan *wire.Response, 1)
-	c.mu.Lock()
-	if c.err != nil {
-		err := c.err
-		c.mu.Unlock()
-		return nil, err
-	}
-	c.nextID++
-	req.ID = c.nextID
-	c.pending[req.ID] = ch
-	c.mu.Unlock()
-
-	frame := wire.AppendRequest(nil, req)
-	if len(frame)-4 > wire.MaxFrame {
-		// An oversize request (e.g. a huge batch) fails locally rather
-		// than desynchronizing the server's frame reader.
-		c.mu.Lock()
-		delete(c.pending, req.ID)
-		c.mu.Unlock()
-		return nil, fmt.Errorf("client: request of %d bytes exceeds frame limit %d", len(frame)-4, wire.MaxFrame)
-	}
-	c.wmu.Lock()
-	_, err := c.bw.Write(frame)
-	if err == nil {
-		err = c.bw.Flush()
-	}
-	c.wmu.Unlock()
-	if err != nil {
-		c.mu.Lock()
-		delete(c.pending, req.ID)
-		c.mu.Unlock()
-		err = fmt.Errorf("client: send: %w", err)
-		c.fail(err)
-		return nil, err
-	}
-	return ch, nil
-}
+func (c *Client) Broken() bool { return c.conn.Err() != nil }
 
 // decodeErr converts a non-OK response into the matching Go error; an
 // overloaded status becomes an sstore.OverloadedError so errors.Is
@@ -209,17 +85,11 @@ func decodeErr(resp *wire.Response) error {
 	}
 }
 
-// await turns a response channel into (response, error), mapping a
-// closed channel to the sticky transport error.
-func (c *Client) await(ch chan *wire.Response) (*wire.Response, error) {
-	resp, ok := <-ch
-	if !ok {
-		c.mu.Lock()
-		err := c.err
-		c.mu.Unlock()
-		if err == nil {
-			err = fmt.Errorf("client: connection lost")
-		}
+// do sends req and waits for its outcome, mapping a non-OK response
+// to its error.
+func (c *Client) do(req *wire.Request) (*wire.Response, error) {
+	resp, err := c.conn.RoundTrip(req)
+	if err != nil {
 		return nil, err
 	}
 	if err := decodeErr(resp); err != nil {
@@ -231,11 +101,7 @@ func (c *Client) await(ch chan *wire.Response) (*wire.Response, error) {
 // Call invokes a stored procedure as an OLTP transaction and waits for
 // its result.
 func (c *Client) Call(sp string, params ...sstore.Value) (*Result, error) {
-	ch, err := c.send(&wire.Request{Op: wire.OpCall, SP: sp, Params: sstore.Row(params)})
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.await(ch)
+	resp, err := c.do(&wire.Request{Op: wire.OpCall, SP: sp, Params: sstore.Row(params)})
 	if err != nil {
 		return nil, err
 	}
@@ -252,13 +118,9 @@ func (c *Client) Call(sp string, params ...sstore.Value) (*Result, error) {
 // rejected by queue-depth backpressure, and observe a single commit
 // boundary — committed state only, never a half-executed transaction.
 func (c *Client) Query(partition int, stmt string, params ...sstore.Value) (*Result, error) {
-	ch, err := c.send(&wire.Request{
+	resp, err := c.do(&wire.Request{
 		Op: wire.OpQuery, Partition: partition, SQL: stmt, Params: sstore.Row(params),
 	})
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.await(ch)
 	if err != nil {
 		return nil, err
 	}
@@ -278,22 +140,24 @@ func (c *Client) Ingest(streamName string, b *sstore.Batch) error {
 
 // IngestAsync submits the batch and returns a channel receiving the
 // border transaction's commit outcome, enabling many in-flight batches
-// per connection. The request is written before IngestAsync returns,
-// so a single caller's batches are admitted in submission order.
-// Submission-time rejections (duplicate, overload) arrive on the
-// channel like commit outcomes.
+// per connection. The request is queued on the connection before
+// IngestAsync returns, and frames leave in queue order, so a single
+// caller's batches are admitted in submission order. Submission-time
+// rejections (duplicate, overload) arrive on the channel like commit
+// outcomes.
 func (c *Client) IngestAsync(streamName string, b *sstore.Batch) (<-chan error, error) {
-	ch, err := c.send(&wire.Request{
+	out := make(chan error, 1)
+	err := c.conn.Send(&wire.Request{
 		Op: wire.OpIngest, Stream: streamName, BatchID: b.ID, Rows: b.Rows,
+	}, func(resp *wire.Response, err error) {
+		if err == nil {
+			err = decodeErr(resp)
+		}
+		out <- err
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := make(chan error, 1)
-	go func() {
-		_, err := c.await(ch)
-		out <- err
-	}()
 	return out, nil
 }
 
@@ -359,11 +223,7 @@ func jitterWait(hint time.Duration) time.Duration {
 
 // Stats fetches the server engine's counters.
 func (c *Client) Stats() (Stats, error) {
-	ch, err := c.send(&wire.Request{Op: wire.OpStats})
-	if err != nil {
-		return Stats{}, err
-	}
-	resp, err := c.await(ch)
+	resp, err := c.do(&wire.Request{Op: wire.OpStats})
 	if err != nil {
 		return Stats{}, err
 	}
@@ -375,10 +235,6 @@ func (c *Client) Stats() (Stats, error) {
 // controlled benchmarks; under continuous ingestion from other clients
 // it may block indefinitely.
 func (c *Client) Drain() error {
-	ch, err := c.send(&wire.Request{Op: wire.OpDrain})
-	if err != nil {
-		return err
-	}
-	_, err = c.await(ch)
+	_, err := c.do(&wire.Request{Op: wire.OpDrain})
 	return err
 }

@@ -2,6 +2,7 @@ package client
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"net"
 	"sync/atomic"
@@ -132,5 +133,75 @@ func TestJitterWaitSpreads(t *testing.T) {
 	}
 	if jitterWait(0) != 0 {
 		t.Error("zero hint should not sleep")
+	}
+}
+
+// ackServer is an in-process endpoint that acknowledges every request
+// as an ingest commit, reusing its buffers so that it allocates nothing
+// per request: every malloc a round trip counts is the client's.
+func ackServer(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		if _, err := c.Write(wire.AppendHello(nil)); err != nil {
+			return
+		}
+		br := bufio.NewReader(c)
+		if err := wire.ReadHello(br); err != nil {
+			return
+		}
+		var scratch, out []byte
+		for {
+			payload, err := wire.ReadFrameBuf(br, scratch)
+			scratch = payload
+			if err != nil {
+				return
+			}
+			id, _ := binary.Uvarint(payload)
+			out = wire.AppendResponse(out[:0], &wire.Response{ID: id, Op: wire.OpIngest, Status: wire.StatusOK})
+			if _, err := c.Write(out); err != nil {
+				return
+			}
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestIngestAsyncRoundTripMallocs bounds the client's mallocs per
+// pipelined ingest round trip on a warm connection: the ack channel,
+// its completion and the decoded response, with no goroutine or frame
+// allocated per request.
+func TestIngestAsyncRoundTripMallocs(t *testing.T) {
+	c, err := Dial(ackServer(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	b := &sstore.Batch{ID: 1, Rows: []sstore.Row{{sstore.Int(1)}}}
+	roundTrip := func() {
+		ack, err := c.IngestAsync("s", b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := <-ack; err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		roundTrip()
+	}
+	n := testing.AllocsPerRun(5000, roundTrip)
+	t.Logf("%.1f mallocs per IngestAsync round trip", n)
+	if n > 6 {
+		t.Errorf("IngestAsync round trip costs %.1f mallocs, want <= 6", n)
 	}
 }

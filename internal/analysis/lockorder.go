@@ -37,10 +37,14 @@ type LockOrderConfig struct {
 //
 // The cluster transport's locks rank after the table latch: Peers.mu
 // (the peer registry) may be taken from the dispatch path while no
-// engine lock is held, and each peer.mu (one connection's send queue)
-// nests strictly inside it. peer.mu is a leaf — its critical sections
-// only touch the queue slice and the conn pointer; in particular no
-// network write happens under it.
+// engine lock is held, and each peer.mu (one peer's hand-off queue and
+// current connection) nests strictly inside it. Under peer.mu a
+// hand-off is queued on the connection, which takes wire.Conn.mu: a
+// leaf whose critical sections only encode frames into the write
+// buffer and touch the pending table. No network write happens under
+// either — the connection's own writer goroutine writes with no lock
+// held — and completion callbacks run with no lock held, so a callback
+// that takes peer.mu (created under it) is reported.
 //
 // The command log's locks come last. wal.Logger.syncMu serializes a
 // whole group sync (and compaction and close) and is taken before the
@@ -58,13 +62,14 @@ var EngineLockOrder = LockOrderConfig{
 		"sstore/internal/storage.Table.latch": 5,
 		"sstore/internal/cluster.Peers.mu":    6,
 		"sstore/internal/cluster.peer.mu":     7,
-		"sstore/internal/bufferpool.Pool.mu":  8,
-		"sstore/internal/wal.Logger.syncMu":   9,
-		"sstore/internal/wal.Logger.mu":       10,
-		"sstore/internal/pe.releaseQueue.mu":  11,
+		"sstore/internal/wire.Conn.mu":        8,
+		"sstore/internal/bufferpool.Pool.mu":  9,
+		"sstore/internal/wal.Logger.syncMu":   10,
+		"sstore/internal/wal.Logger.mu":       11,
+		"sstore/internal/pe.releaseQueue.mu":  12,
 	},
-	Leaf:     map[int]bool{3: true, 7: true, 8: true, 10: true, 11: true},
-	OrderDoc: "ddlMu → readMu → Executor.mu → Views.mu → Table.latch → Peers.mu → peer.mu → Pool.mu → Logger.syncMu → Logger.mu → releaseQueue.mu",
+	Leaf:     map[int]bool{3: true, 8: true, 9: true, 11: true, 12: true},
+	OrderDoc: "ddlMu → readMu → Executor.mu → Views.mu → Table.latch → Peers.mu → peer.mu → Conn.mu → Pool.mu → Logger.syncMu → Logger.mu → releaseQueue.mu",
 }
 
 // LockOrder enforces EngineLockOrder over the module.

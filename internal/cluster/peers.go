@@ -1,9 +1,8 @@
 package cluster
 
 import (
-	"bufio"
 	"fmt"
-	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,9 +26,13 @@ import (
 //     request/response, failing fast when the peer is down — the
 //     client owns the retry.
 //
+// Each connection is a wire.Conn: senders only queue frames, so a
+// peer that stops reading stalls its connection's writer, never a
+// Handoff caller or Close.
+//
 // Lock order (enforced by sstore-lint): Peers.mu (rank 6) → peer.mu
-// (rank 7, leaf). Completion callbacks are always invoked with no
-// cluster lock held.
+// (rank 7) → wire.Conn.mu (rank 8, leaf). Completion callbacks run on
+// the connection's reader with no lock held, and take none.
 type Peers struct {
 	cfg  *Config
 	self int
@@ -41,27 +44,24 @@ type Peers struct {
 	sent atomic.Uint64
 }
 
-// outstanding is one in-flight request on a peer connection. Hand-offs
-// carry done and live in the peer's queue until acknowledged; forwards
-// carry resp; pulls carry neither (fire-and-forget).
-type outstanding struct {
+// handoff is one relocated batch, retained until the receiving node
+// acknowledges it.
+type handoff struct {
 	req  wire.Request
 	done func(dup bool, err error)
-	resp chan *wire.Response
+	// acked is set by the first acknowledgement, whichever send of the
+	// hand-off it answers; later ones are ignored, so done fires once.
+	acked atomic.Bool
 }
 
 // peer is the connection state for one remote node.
 type peer struct {
 	node Node
 
-	mu      sync.Mutex
-	conn    net.Conn
-	bw      *bufio.Writer
-	enc     []byte // grow-only frame scratch, reused under mu
-	nextID  uint64
-	pending map[uint64]*outstanding
-	queue   []*outstanding // unacked hand-offs in send order
-	closed  bool
+	mu     sync.Mutex
+	conn   *wire.Conn // nil while disconnected
+	queue  []*handoff // hand-offs in send order; acked ones until pruned
+	closed bool
 
 	stopc chan struct{}
 }
@@ -79,11 +79,7 @@ func NewPeers(cfg *Config, self int) (*Peers, error) {
 		if n.ID == self {
 			continue
 		}
-		p := &peer{
-			node:    n,
-			pending: make(map[uint64]*outstanding),
-			stopc:   make(chan struct{}),
-		}
+		p := &peer{node: n, stopc: make(chan struct{})}
 		ps.peers[n.ID] = p
 		go p.run()
 	}
@@ -103,7 +99,7 @@ func (ps *Peers) Handoff(node, from, target int, stream string, batchID int64, r
 		done(false, fmt.Errorf("cluster: no peer connection for node %d", node))
 		return
 	}
-	o := &outstanding{
+	h := &handoff{
 		req: wire.Request{
 			Op: wire.OpHandoff, From: from, Partition: target, Front: front,
 			Stream: stream, BatchID: batchID, Rows: rows,
@@ -116,12 +112,16 @@ func (ps *Peers) Handoff(node, from, target int, stream string, batchID int64, r
 		done(false, fmt.Errorf("cluster: peers closed"))
 		return
 	}
-	p.queue = append(p.queue, o)
+	// Acks arrive roughly in send order, so acknowledged hand-offs
+	// collect at the head of the queue.
+	n := 0
+	for n < len(p.queue) && p.queue[n].acked.Load() {
+		n++
+	}
+	clear(p.queue[:n])
+	p.queue = append(p.queue[n:], h)
 	if p.conn != nil {
-		// Write errors are not reported here: the connection dies, the
-		// maintainer reconnects, and the queued hand-off is re-sent.
-		//lint:allow errdrop -- resend-on-reconnect is the error path
-		p.writeLocked(o)
+		p.send(h)
 	}
 	p.mu.Unlock()
 	ps.sent.Add(1)
@@ -136,20 +136,15 @@ func (ps *Peers) Forward(node int, req *wire.Request) (*wire.Response, error) {
 	if p == nil {
 		return nil, fmt.Errorf("cluster: no peer connection for node %d", node)
 	}
-	o := &outstanding{req: *req, resp: make(chan *wire.Response, 1)}
 	p.mu.Lock()
-	if p.conn == nil || p.closed {
-		p.mu.Unlock()
+	conn := p.conn
+	p.mu.Unlock()
+	if conn == nil {
 		return nil, fmt.Errorf("cluster: node %d (%s) unreachable", node, p.node.Addr)
 	}
-	err := p.writeLocked(o)
-	p.mu.Unlock()
+	resp, err := conn.RoundTrip(req)
 	if err != nil {
-		return nil, err
-	}
-	resp, ok := <-o.resp
-	if !ok {
-		return nil, fmt.Errorf("cluster: connection to node %d lost", node)
+		return nil, fmt.Errorf("cluster: node %d: %w", node, err)
 	}
 	return resp, nil
 }
@@ -166,20 +161,8 @@ func (ps *Peers) Redeliver(node int) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.conn == nil || p.closed {
-		return // reconnect re-sends the queue anyway
-	}
-	// Drop the stale pending entries of queued hand-offs (their old
-	// request IDs may still get responses; unmatched IDs are ignored)
-	// and write the queue afresh.
-	for id, o := range p.pending {
-		if o.done != nil {
-			delete(p.pending, id)
-		}
-	}
-	for _, o := range p.queue {
-		//lint:allow errdrop -- resend-on-reconnect is the error path
-		p.writeLocked(o)
+	if p.conn != nil {
+		p.resend() // else reconnect re-sends the queue anyway
 	}
 }
 
@@ -190,11 +173,10 @@ func (ps *Peers) Redeliver(node int) {
 func (ps *Peers) Pull() {
 	for _, id := range ps.peerIDs() {
 		p := ps.peers[id]
-		o := &outstanding{req: wire.Request{Op: wire.OpHandoffPull, Node: ps.self}}
 		p.mu.Lock()
-		if p.conn != nil && !p.closed {
+		if p.conn != nil {
 			//lint:allow errdrop -- best-effort; reconnect re-requests implicitly
-			p.writeLocked(o)
+			p.conn.Send(&wire.Request{Op: wire.OpHandoffPull, Node: ps.self}, nil)
 		}
 		p.mu.Unlock()
 	}
@@ -221,7 +203,11 @@ func (ps *Peers) Pending() int {
 	for _, id := range ps.peerIDs() {
 		p := ps.peers[id]
 		p.mu.Lock()
-		total += len(p.queue)
+		for _, h := range p.queue {
+			if !h.acked.Load() {
+				total++
+			}
+		}
 		p.mu.Unlock()
 	}
 	return total
@@ -247,6 +233,7 @@ func (ps *Peers) Close() error {
 		p.mu.Lock()
 		p.closed = true
 		conn := p.conn
+		p.conn = nil
 		p.mu.Unlock()
 		close(p.stopc)
 		if conn != nil {
@@ -256,30 +243,40 @@ func (ps *Peers) Close() error {
 	return nil
 }
 
-// writeLocked assigns the next request ID, registers the outstanding,
-// and writes its frame; called with p.mu held and p.conn non-nil. On a
-// write error the connection is closed (waking the maintainer into
-// reconnect) and the error returned for forwards to fail fast.
-func (p *peer) writeLocked(o *outstanding) error {
-	p.nextID++
-	o.req.ID = p.nextID
-	p.pending[o.req.ID] = o
-	p.enc = wire.AppendRequest(p.enc[:0], &o.req)
-	_, err := p.bw.Write(p.enc)
-	if err == nil {
-		err = p.bw.Flush()
+// send queues h on the current connection; called with p.mu held and
+// p.conn non-nil. The first answer to any send of h completes it. A
+// lost connection completes nothing: h stays queued, and attach
+// re-sends it.
+func (p *peer) send(h *handoff) {
+	//lint:allow errdrop -- a dead connection re-sends h on reconnect
+	p.conn.Send(&h.req, func(resp *wire.Response, err error) {
+		if err != nil || !h.acked.CompareAndSwap(false, true) {
+			return
+		}
+		if resp.Status == wire.StatusOK {
+			h.done(resp.Duplicate, nil)
+		} else {
+			h.done(false, fmt.Errorf("cluster: hand-off rejected by node %d: %s", p.node.ID, resp.Msg))
+		}
+	})
+}
+
+// resend drops acknowledged hand-offs and re-sends the rest in
+// original order; called with p.mu held and p.conn non-nil. Holding
+// p.mu serializes it against concurrent Handoff calls, so per-stream
+// batch order — the receiver ledger's admission requirement — survives
+// a reconnect or Redeliver; the ledger suppresses any the node had in
+// fact committed.
+func (p *peer) resend() {
+	p.queue = slices.DeleteFunc(p.queue, func(h *handoff) bool { return h.acked.Load() })
+	for _, h := range p.queue {
+		p.send(h)
 	}
-	if err != nil {
-		delete(p.pending, o.req.ID)
-		p.conn.Close()
-		return fmt.Errorf("cluster: send to node %d: %w", p.node.ID, err)
-	}
-	return nil
 }
 
 // run is the connection maintainer: dial, handshake, re-send the
-// unacknowledged queue, then read responses until the connection dies;
-// repeat with backoff until Close.
+// unacknowledged queue, then wait for the connection to die; repeat
+// with backoff until Close.
 func (p *peer) run() {
 	backoff := 50 * time.Millisecond
 	for {
@@ -288,127 +285,47 @@ func (p *peer) run() {
 			return
 		default:
 		}
-		conn, err := net.DialTimeout("tcp", p.node.Addr, 2*time.Second)
-		if err == nil {
-			err = handshake(conn)
-			if err != nil {
-				conn.Close()
-			}
-		}
+		conn, err := wire.Dial(p.node.Addr)
 		if err != nil {
 			select {
 			case <-p.stopc:
 				return
 			case <-time.After(backoff):
 			}
-			backoff *= 2
-			if backoff > 2*time.Second {
-				backoff = 2 * time.Second
-			}
+			backoff = min(2*backoff, 2*time.Second)
 			continue
 		}
 		backoff = 50 * time.Millisecond
-		br := bufio.NewReader(conn)
-		p.attach(conn)
-		p.readLoop(br)
-		p.detach()
-		conn.Close()
-	}
-}
-
-// handshake exchanges protocol hellos on a fresh connection, bounded
-// by a deadline so a silent peer cannot wedge the maintainer.
-func handshake(conn net.Conn) error {
-	if err := conn.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
-		return err
-	}
-	if _, err := conn.Write(wire.AppendHello(nil)); err != nil {
-		return fmt.Errorf("cluster: handshake: %w", err)
-	}
-	if err := wire.ReadHello(bufio.NewReaderSize(conn, wire.HelloSize)); err != nil {
-		return err
-	}
-	return conn.SetDeadline(time.Time{})
-}
-
-// attach installs the new connection and re-sends the unacknowledged
-// hand-off queue in order. Holding p.mu across the re-send serializes
-// it against concurrent Handoff calls, so per-stream batch order — the
-// receiver ledger's admission requirement — survives the reconnect.
-func (p *peer) attach(conn net.Conn) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.conn = conn
-	p.bw = bufio.NewWriter(conn)
-	for _, o := range p.queue {
-		//lint:allow errdrop -- a failed re-send kills the conn; next reconnect retries
-		p.writeLocked(o)
-	}
-}
-
-// readLoop delivers responses until the connection fails.
-func (p *peer) readLoop(br *bufio.Reader) {
-	var scratch []byte
-	for {
-		payload, err := wire.ReadFrameBuf(br, scratch)
-		scratch = payload
-		if err != nil {
-			return
-		}
-		resp, err := wire.DecodeResponse(payload)
-		if err != nil {
-			return
-		}
-		p.handleResp(resp)
-	}
-}
-
-// handleResp matches a response to its outstanding request and
-// completes it: hand-offs leave the queue and fire done, forwards get
-// their response. Callbacks run with no lock held.
-func (p *peer) handleResp(resp *wire.Response) {
-	p.mu.Lock()
-	o := p.pending[resp.ID]
-	delete(p.pending, resp.ID)
-	if o != nil && o.done != nil {
-		for i := range p.queue {
-			if p.queue[i] == o {
-				p.queue = append(p.queue[:i], p.queue[i+1:]...)
-				break
+		if p.attach(conn) {
+			select {
+			case <-conn.Done():
+			case <-p.stopc:
 			}
 		}
-	}
-	p.mu.Unlock()
-	if o == nil {
-		return // stale ID from before a Redeliver; the fresh send owns the ack
-	}
-	switch {
-	case o.resp != nil:
-		o.resp <- resp
-	case o.done != nil:
-		if resp.Status == wire.StatusOK {
-			o.done(resp.Duplicate, nil)
-		} else {
-			o.done(false, fmt.Errorf("cluster: hand-off rejected by node %d: %s", p.node.ID, resp.Msg))
-		}
+		p.detach(conn)
 	}
 }
 
-// detach clears the dead connection: queued hand-offs stay for the
-// next attach, forwards fail (closed channel), pulls evaporate.
-func (p *peer) detach() {
+// attach installs a fresh connection and re-sends the queue; it
+// reports false once the peer set is closed.
+func (p *peer) attach(conn *wire.Conn) bool {
 	p.mu.Lock()
-	p.conn = nil
-	p.bw = nil
-	var failed []*outstanding
-	for id, o := range p.pending {
-		if o.resp != nil {
-			failed = append(failed, o)
-		}
-		delete(p.pending, id)
+	defer p.mu.Unlock()
+	if p.closed {
+		return false
+	}
+	p.conn = conn
+	p.resend()
+	return true
+}
+
+// detach retires a dead connection: queued hand-offs stay for the next
+// attach; the connection's forwards and pulls have already failed.
+func (p *peer) detach(conn *wire.Conn) {
+	p.mu.Lock()
+	if p.conn == conn {
+		p.conn = nil
 	}
 	p.mu.Unlock()
-	for _, o := range failed {
-		close(o.resp)
-	}
+	conn.Close()
 }

@@ -4,7 +4,7 @@
 // the paper assumes — clients and stream injection feed the engine
 // over a network, Figure 4).
 //
-// Each connection gets a reader goroutine and a writer goroutine.
+// Each connection gets a reader goroutine and a wire.Conn writer.
 // The reader decodes requests and submits them to the engine through
 // the asynchronous entry points (CallAsync, IngestAsync), so requests
 // pipeline: the exactly-once batch admission happens synchronously in
@@ -16,22 +16,15 @@
 package server
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"net"
 	"sync"
-	"time"
 
 	"sstore/internal/pe"
 	"sstore/internal/stream"
 	"sstore/internal/wire"
 )
-
-// helloTimeout bounds the protocol handshake: a connection that has
-// not completed the magic/version exchange within it is dropped, so a
-// misdirected or silent client cannot pin an accept goroutine.
-const helloTimeout = 5 * time.Second
 
 // Server serves one engine over TCP. Create with New, start with
 // Serve, stop with Close; the engine's lifecycle stays the caller's.
@@ -133,59 +126,23 @@ func (s *Server) dropConn(c net.Conn) {
 	c.Close()
 }
 
-// handle runs one connection: a read loop that submits requests and a
-// writer goroutine that serializes responses. Response frames travel
-// through out; every in-flight request holds a slot in inflight, and
-// out is closed only after the read loop ended and all in-flight
-// requests delivered their response — so a send on out never races a
-// close.
+// handle runs one connection: a read loop that submits requests, and
+// the connection's writer, which carries every response. Each
+// in-flight request holds a slot in inflight; the connection closes
+// only after the read loop ended and every in-flight response was
+// written.
 func (s *Server) handle(c net.Conn) {
 	defer s.wg.Done()
 	defer s.dropConn(c)
 
-	// Handshake before any frame: both sides lead with magic + version
-	// (wire.AppendHello) and validate the peer's greeting. A mismatched
-	// peer is simply hung up on — its own ReadHello reports the precise
-	// mismatch, and nothing this server could frame would be
-	// intelligible to a peer speaking another protocol or version.
-	//lint:allow errdrop -- deadline errors surface on the guarded I/O below
-	c.SetDeadline(time.Now().Add(helloTimeout))
-	if _, err := c.Write(wire.AppendHello(nil)); err != nil {
+	// A peer whose hello does not match is simply hung up on — its own
+	// handshake reports the precise mismatch, and nothing this server
+	// could frame would be intelligible to a peer speaking another
+	// protocol or version.
+	wc, br, err := wire.Accept(c)
+	if err != nil {
 		return
 	}
-	br := bufio.NewReader(c)
-	if err := wire.ReadHello(br); err != nil {
-		return
-	}
-	//lint:allow errdrop -- clearing a deadline on a live conn cannot fail meaningfully
-	c.SetDeadline(time.Time{})
-
-	out := make(chan []byte, 128)
-	writerDone := make(chan struct{})
-	go func() {
-		defer close(writerDone)
-		bw := bufio.NewWriter(c)
-		for frame := range out {
-			if _, err := bw.Write(frame); err != nil {
-				// Connection is gone; keep draining so in-flight
-				// responders never block on a dead writer.
-				for range out {
-				}
-				return
-			}
-			// Flush when no further response is immediately ready:
-			// consecutive ready responses coalesce into one write.
-			if len(out) == 0 {
-				if err := bw.Flush(); err != nil {
-					for range out {
-					}
-					return
-				}
-			}
-		}
-		bw.Flush()
-	}()
-
 	var inflight sync.WaitGroup
 	// One grow-only frame buffer per connection: DecodeRequest copies
 	// everything it keeps, so each frame may overwrite the last.
@@ -200,23 +157,20 @@ func (s *Server) handle(c net.Conn) {
 		if err != nil {
 			// Protocol error: the stream cannot be resynchronized;
 			// report and hang up.
-			out <- wire.AppendResponse(nil, &wire.Response{
-				Status: wire.StatusErr, Msg: err.Error(),
-			})
+			wc.Reply(&wire.Response{Status: wire.StatusErr, Msg: err.Error()})
 			break
 		}
-		s.dispatch(req, out, &inflight)
+		s.dispatch(req, wc, &inflight)
 	}
 	inflight.Wait()
-	close(out)
-	<-writerDone
+	wc.Shutdown()
 }
 
 // dispatch submits one request to the engine. Submission itself is
 // synchronous — admission order on a connection is request order —
 // while waiting for the outcome moves to a goroutine per in-flight
 // request.
-func (s *Server) dispatch(req *wire.Request, out chan<- []byte, inflight *sync.WaitGroup) {
+func (s *Server) dispatch(req *wire.Request, wc *wire.Conn, inflight *sync.WaitGroup) {
 	switch req.Op {
 	case wire.OpCall:
 		ch := s.eng.CallAsync(req.SP, req.Params)
@@ -225,7 +179,7 @@ func (s *Server) dispatch(req *wire.Request, out chan<- []byte, inflight *sync.W
 			defer inflight.Done()
 			r := <-ch
 			if r.Err != nil {
-				out <- s.respondErr(req, r.Err)
+				wc.Reply(s.respondErr(req, r.Err))
 				return
 			}
 			resp := &wire.Response{ID: req.ID, Op: req.Op, Status: wire.StatusOK}
@@ -234,15 +188,7 @@ func (s *Server) dispatch(req *wire.Request, out chan<- []byte, inflight *sync.W
 				resp.Rows = r.Res.Rows
 				resp.LastInsertBatch = r.Res.LastInsertBatch
 			}
-			frame := wire.AppendResponse(nil, resp)
-			if len(frame)-4 > wire.MaxFrame {
-				// A result too large to frame fails its own request;
-				// sending it would make the client's frame reader kill
-				// the whole pipelined connection.
-				frame = errFrame(req, fmt.Errorf(
-					"server: result of %d bytes exceeds frame limit %d", len(frame)-4, wire.MaxFrame))
-			}
-			out <- frame
+			wc.Reply(resp)
 		}()
 	case wire.OpIngest:
 		ch, err := s.eng.IngestAsync(req.Stream, &stream.Batch{ID: req.BatchID, Rows: req.Rows})
@@ -255,23 +201,21 @@ func (s *Server) dispatch(req *wire.Request, out chan<- []byte, inflight *sync.W
 				inflight.Add(1)
 				go func() {
 					defer inflight.Done()
-					out <- s.forwardFrame(req, wne)
+					wc.Reply(s.forward(req, wne))
 				}()
 				return
 			}
-			out <- errFrame(req, err)
+			wc.Reply(errResponse(req, err))
 			return
 		}
 		inflight.Add(1)
 		go func() {
 			defer inflight.Done()
 			if err := <-ch; err != nil {
-				out <- errFrame(req, err)
+				wc.Reply(errResponse(req, err))
 				return
 			}
-			out <- wire.AppendResponse(nil, &wire.Response{
-				ID: req.ID, Op: req.Op, Status: wire.StatusOK, BatchID: req.BatchID,
-			})
+			wc.Reply(&wire.Response{ID: req.ID, Op: req.Op, Status: wire.StatusOK, BatchID: req.BatchID})
 		}()
 	case wire.OpHandoff:
 		// Inter-node hand-off of a relocated interior batch: admission
@@ -282,11 +226,11 @@ func (s *Server) dispatch(req *wire.Request, out chan<- []byte, inflight *sync.W
 		// back until every consumer transaction committed.
 		dup, ack, err := s.eng.DeliverHandoff(req.From, req.Partition, req.Stream, req.BatchID, req.Rows, req.Front)
 		if err != nil {
-			out <- errFrame(req, err)
+			wc.Reply(errResponse(req, err))
 			return
 		}
 		if dup {
-			out <- wire.AppendResponse(nil, &wire.Response{
+			wc.Reply(&wire.Response{
 				ID: req.ID, Op: req.Op, Status: wire.StatusOK, BatchID: req.BatchID, Duplicate: true,
 			})
 			return
@@ -295,12 +239,10 @@ func (s *Server) dispatch(req *wire.Request, out chan<- []byte, inflight *sync.W
 		go func() {
 			defer inflight.Done()
 			if err := <-ack; err != nil {
-				out <- errFrame(req, err)
+				wc.Reply(errResponse(req, err))
 				return
 			}
-			out <- wire.AppendResponse(nil, &wire.Response{
-				ID: req.ID, Op: req.Op, Status: wire.StatusOK, BatchID: req.BatchID,
-			})
+			wc.Reply(&wire.Response{ID: req.ID, Op: req.Op, Status: wire.StatusOK, BatchID: req.BatchID})
 		}()
 	case wire.OpHandoffPull:
 		// A restarted peer asks for every unacknowledged hand-off
@@ -309,9 +251,7 @@ func (s *Server) dispatch(req *wire.Request, out chan<- []byte, inflight *sync.W
 		if ps := s.eng.Peers(); ps != nil {
 			ps.Redeliver(req.Node)
 		}
-		out <- wire.AppendResponse(nil, &wire.Response{
-			ID: req.ID, Op: req.Op, Status: wire.StatusOK,
-		})
+		wc.Reply(&wire.Response{ID: req.ID, Op: req.Op, Status: wire.StatusOK})
 	case wire.OpQuery:
 		// The snapshot read path: the query pins a consistent view off
 		// the partition loop, so it is dispatched straight from a
@@ -322,7 +262,7 @@ func (s *Server) dispatch(req *wire.Request, out chan<- []byte, inflight *sync.W
 			defer inflight.Done()
 			res, err := s.eng.Read(req.Partition, req.SQL, req.Params...)
 			if err != nil {
-				out <- s.respondErr(req, err)
+				wc.Reply(s.respondErr(req, err))
 				return
 			}
 			resp := &wire.Response{ID: req.ID, Op: req.Op, Status: wire.StatusOK}
@@ -330,16 +270,11 @@ func (s *Server) dispatch(req *wire.Request, out chan<- []byte, inflight *sync.W
 				resp.Columns = res.Columns
 				resp.Rows = res.Rows
 			}
-			frame := wire.AppendResponse(nil, resp)
-			if len(frame)-4 > wire.MaxFrame {
-				frame = errFrame(req, fmt.Errorf(
-					"server: result of %d bytes exceeds frame limit %d", len(frame)-4, wire.MaxFrame))
-			}
-			out <- frame
+			wc.Reply(resp)
 		}()
 	case wire.OpStats:
 		st := s.eng.Stats()
-		out <- wire.AppendResponse(nil, &wire.Response{
+		wc.Reply(&wire.Response{
 			ID: req.ID, Op: req.Op, Status: wire.StatusOK,
 			Stats: wire.Stats{
 				Executed:        st.Executed,
@@ -359,62 +294,57 @@ func (s *Server) dispatch(req *wire.Request, out chan<- []byte, inflight *sync.W
 		inflight.Add(1)
 		go func() {
 			defer inflight.Done()
-			err := s.eng.Drain()
-			if err != nil {
-				out <- errFrame(req, err)
+			if err := s.eng.Drain(); err != nil {
+				wc.Reply(errResponse(req, err))
 				return
 			}
-			out <- wire.AppendResponse(nil, &wire.Response{
-				ID: req.ID, Op: req.Op, Status: wire.StatusOK,
-			})
+			wc.Reply(&wire.Response{ID: req.ID, Op: req.Op, Status: wire.StatusOK})
 		}()
 	default:
-		out <- errFrame(req, fmt.Errorf("server: unknown op %d", req.Op))
+		wc.Reply(errResponse(req, fmt.Errorf("server: unknown op %d", req.Op)))
 	}
 }
 
-// respondErr encodes a request outcome error, first trying transparent
+// respondErr answers a request outcome error, first trying transparent
 // forwarding when the error says the partition lives on a peer node: a
 // client may send any request to any node of the cluster and the
 // owning node serves it, one extra hop later. Callers run on in-flight
 // goroutines, so the forwarding round trip blocks no read loop. Only
 // called where req is safe to replay on the peer (Call, Query, and
 // pre-admission Ingest rejections — never after side effects).
-func (s *Server) respondErr(req *wire.Request, err error) []byte {
+func (s *Server) respondErr(req *wire.Request, err error) *wire.Response {
 	var wne *pe.WrongNodeError
 	if errors.As(err, &wne) && s.eng.Peers() != nil {
-		return s.forwardFrame(req, wne)
+		return s.forward(req, wne)
 	}
-	return errFrame(req, err)
+	return errResponse(req, err)
 }
 
-// forwardFrame re-issues req against the owning node over the peer
-// connection set and re-frames the answer under the original request
+// forward re-issues req against the owning node over the peer
+// connection set and returns the answer under the original request
 // ID. Forwarding failures surface as plain errors carrying the peer's
 // identity, so a client can tell a routing problem from a local one.
-func (s *Server) forwardFrame(req *wire.Request, wne *pe.WrongNodeError) []byte {
+func (s *Server) forward(req *wire.Request, wne *pe.WrongNodeError) *wire.Response {
 	resp, err := s.eng.Peers().Forward(wne.Node, req)
 	if err != nil {
-		return errFrame(req, fmt.Errorf("server: forwarding to node %d (%s): %w", wne.Node, wne.Addr, err))
+		return errResponse(req, fmt.Errorf("server: forwarding to node %d (%s): %w", wne.Node, wne.Addr, err))
 	}
 	resp.ID = req.ID
-	return wire.AppendResponse(nil, resp)
+	return resp
 }
 
-// errFrame encodes an error outcome, mapping a backpressure rejection
+// errResponse is an error outcome, mapping a backpressure rejection
 // to the overloaded status so the client sees the retry-after hint
 // rather than an opaque failure.
-func errFrame(req *wire.Request, err error) []byte {
+func errResponse(req *wire.Request, err error) *wire.Response {
 	var oe *pe.OverloadedError
 	if errors.As(err, &oe) {
-		return wire.AppendResponse(nil, &wire.Response{
+		return &wire.Response{
 			ID: req.ID, Op: req.Op, Status: wire.StatusOverloaded,
 			Partition:        oe.Partition,
 			Depth:            oe.Depth,
 			RetryAfterMicros: uint64(oe.RetryAfter.Microseconds()),
-		})
+		}
 	}
-	return wire.AppendResponse(nil, &wire.Response{
-		ID: req.ID, Op: req.Op, Status: wire.StatusErr, Msg: err.Error(),
-	})
+	return &wire.Response{ID: req.ID, Op: req.Op, Status: wire.StatusErr, Msg: err.Error()}
 }
