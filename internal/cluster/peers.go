@@ -7,7 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"sstore/internal/types"
+	"sstore/internal/stream"
 	"sstore/internal/wire"
 )
 
@@ -93,7 +93,7 @@ func NewPeers(cfg *Config, self int) (*Peers, error) {
 // rejected. While unacknowledged the hand-off is re-sent after every
 // reconnect; done never firing (peer dead for good) leaves the batch
 // retained on the sender, visible as Pending.
-func (ps *Peers) Handoff(node, from, target int, stream string, batchID int64, rows []types.Row, front bool, done func(dup bool, err error)) {
+func (ps *Peers) Handoff(node, from, target int, b stream.Batch, done func(dup bool, err error)) {
 	p := ps.peers[node]
 	if p == nil {
 		done(false, fmt.Errorf("cluster: no peer connection for node %d", node))
@@ -101,8 +101,8 @@ func (ps *Peers) Handoff(node, from, target int, stream string, batchID int64, r
 	}
 	h := &handoff{
 		req: wire.Request{
-			Op: wire.OpHandoff, From: from, Partition: target, Front: front,
-			Stream: stream, BatchID: batchID, Rows: rows,
+			Op: wire.OpHandoff, From: from, Partition: target,
+			Stream: b.Stream, BatchID: b.ID, Rows: b.Rows,
 		},
 		done: done,
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"sstore/internal/stream"
 	"sstore/internal/types"
 	"sstore/internal/wire"
 )
@@ -88,7 +89,7 @@ func TestPeersStalledPeer(t *testing.T) {
 	go func() {
 		defer close(handed)
 		for i := 1; i <= n; i++ {
-			ps.Handoff(1, 0, 1, "s", int64(i), rows, false, func(bool, error) {})
+			ps.Handoff(1, 0, 1, stream.Batch{Stream: "s", ID: int64(i), Rows: rows}, func(bool, error) {})
 		}
 	}()
 	select {
@@ -147,7 +148,7 @@ func TestPeersRedeliverCompletesOnce(t *testing.T) {
 		}
 	}
 	var fired atomic.Int32
-	ps.Handoff(1, 0, 1, "s", 7, []types.Row{{types.NewInt(1)}}, false, func(dup bool, err error) {
+	ps.Handoff(1, 0, 1, stream.Batch{Stream: "s", ID: 7, Rows: []types.Row{{types.NewInt(1)}}}, func(dup bool, err error) {
 		if err != nil {
 			t.Errorf("hand-off failed: %v", err)
 		}

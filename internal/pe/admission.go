@@ -209,6 +209,9 @@ func (e *Engine) IngestAsync(streamName string, b *stream.Batch) (<-chan error, 
 }
 
 func (e *Engine) ingest(streamName string, b *stream.Batch, sync bool) (chan callResult, error) {
+	if b.Stream != "" && !strings.EqualFold(b.Stream, streamName) {
+		return nil, fmt.Errorf("pe: batch %d names stream %q, ingested into %q", b.ID, b.Stream, streamName)
+	}
 	key := strings.ToLower(streamName)
 	sp := e.borderConsumer(key)
 	if sp == "" {
@@ -236,10 +239,8 @@ func (e *Engine) ingest(streamName string, b *stream.Batch, sync bool) (chan cal
 	t := getTask()
 	t.sp = sp
 	t.params = types.Row{types.NewInt(b.ID)}
-	t.batchID = b.ID
-	t.batch = b.Rows
+	t.in = stream.Batch{Stream: key, ID: b.ID, Rows: b.Rows}
 	t.kind = wal.KindBorder
-	t.inputStream = key
 	t.reply = reply
 	if err := e.pushBorder(target, t); err != nil {
 		// The batch never entered the engine (queue full or engine

@@ -82,7 +82,7 @@ func (p *partition) logCommit(t *task, r *spRun) error {
 		Kind:      t.kind,
 		Partition: p.id,
 		SP:        t.sp,
-		BatchID:   t.batchID,
+		BatchID:   t.in.ID,
 		Params:    t.params,
 	}
 	// Only border and hand-off records carry tuples (upstream backup,
@@ -93,7 +93,7 @@ func (p *partition) logCommit(t *task, r *spRun) error {
 	// hand-off's upstream record lives on ANOTHER node's log, so its
 	// rows must be logged here for this node's recovery to stay local.
 	if t.kind == wal.KindBorder || t.kind == wal.KindHandoff {
-		rec.Batch = t.batch
+		rec.Batch = t.in.Rows
 	}
 	return p.appendLog(rec)
 }
@@ -128,10 +128,10 @@ func (p *partition) appendLog(rec *wal.Record) error {
 // append reported an error, and a replayed-plus-retried batch would
 // apply twice.
 func (p *partition) releaseBorderAdmission(t *task) {
-	if (t.kind != wal.KindBorder && t.kind != wal.KindHandoff) || t.inputStream == "" {
+	if (t.kind != wal.KindBorder && t.kind != wal.KindHandoff) || t.in.Stream == "" {
 		return
 	}
-	p.ledger.Release(t.inputStream, t.batchID)
+	p.ledger.Release(t.in.Stream, t.in.ID)
 }
 
 // defaultArchiveBudget is the per-partition buffer-pool budget when
@@ -291,33 +291,24 @@ func cleanupGenerations(dir string, keep uint64) {
 func (p *partition) groundQueuedBatches() error {
 	var firstErr error
 	p.sched.ForEachQueued(func(t *task) {
-		if t.kind != wal.KindInterior || len(t.batch) == 0 || t.inputStream == "" {
+		if !t.carriesRelocated() {
 			return
 		}
-		tbl, err := p.cat.Get(t.inputStream)
-		if err != nil {
+		if err := p.placeMovedBatch(t.in, nil); err != nil {
+			// Roll a partial insert back out of the table: the task
+			// keeps its payload, so the batch is neither duplicated
+			// (when the consumer later places it) nor lost (the
+			// checkpoint aborts on this error).
+			p.gcBatch(keyOf(t.in))
 			if firstErr == nil {
 				firstErr = err
 			}
 			return
 		}
-		for _, row := range t.batch {
-			if _, err := tbl.Insert(row, t.batchID, nil); err != nil {
-				// Roll the partial insert back out of the table: the
-				// task keeps its payload, so the batch is neither
-				// duplicated (when the consumer later places it) nor
-				// lost (the checkpoint aborts on this error).
-				storage.DeleteBatch(tbl, t.batchID, nil)
-				if firstErr == nil {
-					firstErr = err
-				}
-				return
-			}
-		}
 		if t.gcRefs > 0 {
-			p.pendingGC[gcKey{stream: t.inputStream, batchID: t.batchID}] = t.gcRefs
+			p.pendingGC[keyOf(t.in)] = t.gcRefs
 		}
-		t.batch = nil
+		t.in.Rows = nil
 		t.gcRefs = 0
 	})
 	return firstErr

@@ -121,4 +121,18 @@ func TestPartitionLedgers(t *testing.T) {
 			t.Errorf("partition %d sink holds %d rows, want %d", pid, got, n+1)
 		}
 	}
+	// A batch that names another stream is refused before admission, so
+	// its ID stays free on the partition it routes to.
+	named := batch(1, n+2, 1)
+	named.Stream = "other"
+	if err := e.IngestSync("s", named); err == nil {
+		t.Error("batch naming stream other was ingested into s")
+	}
+	if hi := e.part(1).ledger.High("s"); hi != n+1 {
+		t.Errorf("refused batch moved partition 1's ledger high to %d, want %d", hi, n+1)
+	}
+	named.Stream = "S" // stream names are case-insensitive
+	if err := e.IngestSync("s", named); err != nil {
+		t.Errorf("batch %d naming its own stream: %v", n+2, err)
+	}
 }

@@ -74,7 +74,7 @@ type partition struct {
 	tasksSerial    atomic.Uint64
 	peakConcurrent atomic.Int64
 	execBySP       map[string]uint64
-	pendingGC      map[gcKey]int // (stream, batch) → consumers yet to commit
+	pendingGC      map[batchKey]int // batch → consumers yet to commit
 
 	insertSQL map[string]string // cached INSERT statement per stream
 
@@ -117,10 +117,14 @@ type spRun struct {
 	err  error
 }
 
-type gcKey struct {
-	stream  string
-	batchID int64
+// batchKey identifies one atomic batch: its stream's catalog key and
+// its ID.
+type batchKey struct {
+	stream string
+	id     int64
 }
+
+func keyOf(b stream.Batch) batchKey { return batchKey{stream: b.Stream, id: b.ID} }
 
 func newPartition(id int, eng *Engine) *partition {
 	cat := storage.NewCatalog()
@@ -135,7 +139,7 @@ func newPartition(id int, eng *Engine) *partition {
 		spAccess:  make(map[string]*ee.AccessSet),
 		spWave:    make(map[string]bool),
 		execBySP:  make(map[string]uint64),
-		pendingGC: make(map[gcKey]int),
+		pendingGC: make(map[batchKey]int),
 		insertSQL: make(map[string]string),
 		durable:   durable{ledger: stream.NewDedup()},
 		done:      make(chan struct{}),
@@ -267,8 +271,8 @@ func (p *partition) executeWave(ts []*task) {
 	// only read it. A miss here surfaces in the body, which fails with
 	// the same error serial execution would report.
 	for _, t := range ts {
-		if len(t.batch) > 0 && t.inputStream != "" && t.kind != wal.KindInterior {
-			_, _ = p.insertStmtFor(t.inputStream)
+		if len(t.in.Rows) > 0 && t.in.Stream != "" && t.kind != wal.KindInterior {
+			_, _ = p.insertStmtFor(t.in.Stream)
 		}
 	}
 	p.views.BeginTask()
@@ -376,9 +380,12 @@ func (p *partition) executeSP(t *task) {
 func (p *partition) beginSP(r *spRun, t *task, sp *StoredProc, allowed *ee.AccessSet) {
 	tx := p.beginTxn()
 	ectx := p.getECtx()
-	ectx.Reset(t.sp, t.batchID, tx, allowed)
+	ectx.Reset(t.sp, t.in.ID, tx, allowed)
 	pc := p.getProcCtx()
-	*pc = ProcCtx{part: p, ectx: ectx, params: t.params, batch: t.batch, batchID: t.batchID}
+	*pc = ProcCtx{part: p, ectx: ectx, params: t.params, in: t.in}
+	if t.kind != wal.KindBorder {
+		pc.in.Rows = nil
+	}
 	*r = spRun{t: t, sp: sp, tx: tx, ectx: ectx, pc: pc}
 }
 
@@ -398,12 +405,12 @@ func (p *partition) runSPBody(r *spRun) {
 		// the moved rows the same way, but without re-firing EE
 		// triggers: the rows already entered the system once, at the
 		// producing partition.
-		if len(t.batch) > 0 && t.inputStream != "" {
+		if len(t.in.Rows) > 0 && t.in.Stream != "" {
 			if t.kind == wal.KindInterior || t.kind == wal.KindHandoff {
-				if err := p.placeMovedBatch(t.inputStream, t.batch, t.batchID, r.tx); err != nil {
+				if err := p.placeMovedBatch(t.in, r.tx); err != nil {
 					return err
 				}
-			} else if err := p.insertBatch(t.inputStream, t.batch, r.ectx); err != nil {
+			} else if err := p.insertBatch(t.in.Stream, t.in.Rows, r.ectx); err != nil {
 				return err
 			}
 		}
@@ -455,7 +462,7 @@ func (p *partition) retireSP(r *spRun) {
 	if res == nil {
 		res = &Result{}
 	}
-	res.LastInsertBatch = t.batchID
+	res.LastInsertBatch = t.in.ID
 	p.replyTo(t, res, nil)
 }
 
@@ -501,13 +508,13 @@ func (p *partition) insertBatch(streamName string, rows []types.Row, ectx *ee.Ex
 // insertBatch it bypasses the executor: EE triggers fired when the
 // producing TE appended the rows, and the move is pure relocation, not
 // a second arrival.
-func (p *partition) placeMovedBatch(streamName string, rows []types.Row, batchID int64, undo storage.Undo) error {
-	tbl, err := p.cat.Get(streamName)
+func (p *partition) placeMovedBatch(b stream.Batch, undo storage.Undo) error {
+	tbl, err := p.cat.Get(b.Stream)
 	if err != nil {
 		return err
 	}
-	for _, row := range rows {
-		if _, err := tbl.Insert(row, batchID, undo); err != nil {
+	for _, row := range b.Rows {
+		if _, err := tbl.Insert(row, b.ID, undo); err != nil {
 			return err
 		}
 	}
@@ -524,15 +531,15 @@ func (p *partition) placeMovedBatch(streamName string, rows []types.Row, batchID
 // releases its refcount share, so the batch is retained rather than
 // GC'd.
 func (p *partition) retainRelocatedBatch(t *task) {
-	if t.kind != wal.KindInterior || len(t.batch) == 0 || t.inputStream == "" {
+	if !t.carriesRelocated() {
 		return
 	}
-	if err := p.placeMovedBatch(t.inputStream, t.batch, t.batchID, nil); err != nil {
-		p.noteTriggerErr(fmt.Errorf("pe: retain relocated batch %d on %s: %w", t.batchID, t.inputStream, err))
+	if err := p.placeMovedBatch(t.in, nil); err != nil {
+		p.noteTriggerErr(fmt.Errorf("pe: retain relocated batch %d on %s: %w", t.in.ID, t.in.Stream, err))
 		return
 	}
 	if t.gcRefs > 1 {
-		p.pendingGC[gcKey{stream: t.inputStream, batchID: t.batchID}] = t.gcRefs
+		p.pendingGC[keyOf(t.in)] = t.gcRefs
 	}
 }
 
@@ -547,39 +554,57 @@ func (p *partition) afterCommit(t *task, appends []ee.StreamAppend) {
 		// TEs never see a neighbor batch in their input stream.
 		p.stashAppends(t, appends)
 	}
-	if t.inputStream == "" {
+	if t.in.Stream == "" {
 		return
 	}
-	if len(t.batch) > 0 {
+	key := keyOf(t.in)
+	if len(t.in.Rows) > 0 {
 		if t.gcRefs > 1 {
 			// First consumer of a relocated multi-consumer batch: the
 			// refcount follows the batch to this partition; the
 			// remaining consumers decrement it below.
-			p.pendingGC[gcKey{stream: t.inputStream, batchID: t.batchID}] = t.gcRefs - 1
+			p.pendingGC[key] = t.gcRefs - 1
 			return
 		}
 		// Border TE or sole consumer of a relocated batch: GC now.
-		p.gcBatch(t.inputStream, t.batchID)
+		p.gcBatch(key)
 		return
 	}
-	key := gcKey{stream: t.inputStream, batchID: t.batchID}
 	if n, ok := p.pendingGC[key]; ok {
 		if n <= 1 {
 			delete(p.pendingGC, key)
-			p.gcBatch(t.inputStream, t.batchID)
+			p.gcBatch(key)
 		} else {
 			p.pendingGC[key] = n - 1
 		}
 	} else {
 		// Recovery-fired TE with no registered refcount: single
 		// consumer.
-		p.gcBatch(t.inputStream, t.batchID)
+		p.gcBatch(key)
 	}
 }
 
-func (p *partition) gcBatch(streamName string, batchID int64) {
-	if tbl, ok := p.cat.Lookup(streamName); ok {
-		storage.DeleteBatch(tbl, batchID, nil)
+func (p *partition) gcBatch(k batchKey) {
+	if tbl, ok := p.cat.Lookup(k.stream); ok {
+		storage.DeleteBatch(tbl, k.id, nil)
+	}
+}
+
+// forEachProduced calls fn once per batch the TE's appends produced
+// that has consumers, in append order, with the batch's rows left in
+// the table: the TE's own input is being consumed, not produced, and a
+// batch appended by several statements is visited once.
+func (p *partition) forEachProduced(t *task, appends []ee.StreamAppend, fn func(b stream.Batch, consumers []string)) {
+	seen := make(map[batchKey]bool)
+	for _, ap := range appends {
+		k := batchKey{stream: ap.Table, id: ap.BatchID}
+		if ap.Table == t.in.Stream || seen[k] {
+			continue
+		}
+		seen[k] = true
+		if consumers := p.eng.consumers[ap.Table]; len(consumers) > 0 {
+			fn(stream.Batch{Stream: ap.Table, ID: ap.BatchID}, consumers)
+		}
 	}
 }
 
@@ -604,48 +629,27 @@ func (p *partition) gcBatch(streamName string, batchID int64) {
 func (p *partition) dispatchTriggers(t *task, appends []ee.StreamAppend) {
 	var local []*task
 	var remote []relocated // batches bound elsewhere, in append order
-	seen := make(map[gcKey]bool)
 	route := p.eng.opts.PartitionBy
 	nparts := p.eng.nglobal
-	for _, ap := range appends {
-		if ap.Table == strings.ToLower(t.inputStream) {
-			// The TE's own input: being consumed, not produced.
-			continue
-		}
-		key := gcKey{stream: ap.Table, batchID: ap.BatchID}
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		consumers := p.eng.consumers[ap.Table]
-		if len(consumers) == 0 {
-			continue
-		}
+	p.forEachProduced(t, appends, func(b stream.Batch, consumers []string) {
 		target := p.id
-		var rows []types.Row
 		if route != nil && nparts > 1 {
-			if tbl, ok := p.cat.Lookup(ap.Table); ok {
-				rows = storage.BatchRows(tbl, ap.BatchID)
+			if tbl, ok := p.cat.Lookup(b.Stream); ok {
+				b.Rows = storage.BatchRows(tbl, b.ID)
 			}
-			if len(rows) > 0 {
-				target = wrapPartition(route(ap.Table, rows), nparts)
+			if len(b.Rows) > 0 {
+				target = wrapPartition(route(b.Stream, b.Rows), nparts)
 			}
 		}
-		if target == p.id {
-			p.pendingGC[key] = len(consumers)
-			for _, c := range consumers {
-				ct := getTask()
-				ct.sp = c
-				ct.params = types.Row{types.NewInt(ap.BatchID)}
-				ct.batchID = ap.BatchID
-				ct.kind = wal.KindInterior
-				ct.inputStream = ap.Table
-				local = append(local, ct)
-			}
-			continue
+		if target != p.id {
+			remote = append(remote, relocated{Batch: b, target: target})
+			return
 		}
-		remote = append(remote, relocated{stream: ap.Table, batchID: ap.BatchID, rows: rows, target: target})
-	}
+		// Local consumers find the rows in the table; the refcount
+		// waits in pendingGC.
+		p.pendingGC[keyOf(b)] = len(consumers)
+		local = appendConsumerTasks(local, consumers, stream.Batch{Stream: b.Stream, ID: b.ID})
+	})
 	p.sched.PushFrontBatch(local)
 	if len(remote) > 0 && p.release != nil {
 		// A relocated batch leaves the partition: its consumer's log is
@@ -655,7 +659,7 @@ func (p *partition) dispatchTriggers(t *task, appends []ee.StreamAppend) {
 		if err := p.log.WaitDurable(p.lsn); err != nil {
 			for _, r := range remote {
 				p.noteTriggerErr(fmt.Errorf("pe: batch %d on %s not dispatched to partition %d: %w",
-					r.batchID, r.stream, r.target, err))
+					r.ID, r.Stream, r.target, err))
 			}
 			return
 		}
@@ -666,20 +670,18 @@ func (p *partition) dispatchTriggers(t *task, appends []ee.StreamAppend) {
 		// copy); a cross-node delivery keeps the local copy retained
 		// until the receiving node acknowledges the batch's commit
 		// (handoffAcked deletes it then).
-		retained, err := p.eng.transport.Deliver(p.id, r.target, r.stream, r.batchID, r.rows, false)
+		retained, err := p.eng.transport.Deliver(p.id, r.target, r.Batch)
 		if err != nil {
 			// Destination closed mid-shutdown (or peer set torn down):
 			// keep the committed batch in the local stream table rather
 			// than dropping it, and surface the miss like any other
 			// trigger failure.
 			p.noteTriggerErr(fmt.Errorf("pe: batch %d on %s not dispatched to partition %d: %w",
-				r.batchID, r.stream, r.target, err))
+				r.ID, r.Stream, r.target, err))
 			continue
 		}
 		if !retained {
-			if tbl, ok := p.cat.Lookup(r.stream); ok {
-				storage.DeleteBatch(tbl, r.batchID, nil)
-			}
+			p.gcBatch(keyOf(r.Batch))
 		}
 	}
 }
@@ -687,10 +689,8 @@ func (p *partition) dispatchTriggers(t *task, appends []ee.StreamAppend) {
 // relocated is one committed batch bound to another partition, queued
 // for transport delivery after the local front-push.
 type relocated struct {
-	stream  string
-	batchID int64
-	rows    []types.Row
-	target  int
+	stream.Batch
+	target int
 }
 
 // executeNested runs a nested transaction (§2.3): children execute in
@@ -717,8 +717,8 @@ func (p *partition) executeNested(t *task) {
 		}
 		p.nextTxn++
 		tx := txn.New(p.nextTxn)
-		ectx := &ee.ExecCtx{SP: child.sp, BatchID: t.batchID, Txn: tx}
-		pc := &ProcCtx{part: p, ectx: ectx, params: child.params, batchID: t.batchID}
+		ectx := &ee.ExecCtx{SP: child.sp, BatchID: t.in.ID, Txn: tx}
+		pc := &ProcCtx{part: p, ectx: ectx, params: child.params, in: stream.Batch{ID: t.in.ID}}
 		if err := sp.Func(pc); err != nil {
 			_ = tx.Rollback()
 			rollbackAll()

@@ -1,14 +1,16 @@
 package pe
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
 	"sstore/internal/ee"
 	"sstore/internal/recovery"
 	"sstore/internal/storage"
+	"sstore/internal/stream"
 	"sstore/internal/types"
 	"sstore/internal/wal"
 )
@@ -30,12 +32,6 @@ import (
 // stash, and handed back as traveling rows when the consumer's own log
 // record replays.
 
-// stashKey identifies a produced batch parked in the replay stash.
-type stashKey struct {
-	stream  string
-	batchID int64
-}
-
 // pendingBatch is a batch whose consumers recovery has yet to run:
 // parked in the replay stash, or recovered by the snapshot into a
 // stream table. It remembers the rows, the partition whose table they
@@ -45,8 +41,7 @@ type stashKey struct {
 // consumers already took it — so a crash that logged only some of a
 // fan-out's consumers re-fires exactly the missing ones.
 type pendingBatch struct {
-	stashKey
-	rows  []types.Row
+	stream.Batch
 	pid   int
 	refs  int
 	taken map[string]bool
@@ -57,31 +52,31 @@ type pendingBatch struct {
 // swept out of the tables.
 type replayStash struct {
 	mu    sync.Mutex
-	m     map[stashKey]pendingBatch
+	m     map[batchKey]pendingBatch
 	swept map[string]bool
 }
 
 func newReplayStash() *replayStash {
-	return &replayStash{m: make(map[stashKey]pendingBatch), swept: make(map[string]bool)}
+	return &replayStash{m: make(map[batchKey]pendingBatch), swept: make(map[string]bool)}
 }
 
-func (s *replayStash) put(stream string, batchID int64, pid int, rows []types.Row, refs int) {
+// put parks batch b, extracted from partition pid's table, for refs
+// consumer records to take.
+func (s *replayStash) put(b stream.Batch, pid int, refs int) {
 	if refs < 1 {
 		refs = 1
 	}
-	k := stashKey{stream: stream, batchID: batchID}
 	s.mu.Lock()
-	s.m[k] = pendingBatch{stashKey: k, rows: rows, pid: pid, refs: refs, taken: make(map[string]bool)}
+	s.m[keyOf(b)] = pendingBatch{Batch: b, pid: pid, refs: refs, taken: make(map[string]bool)}
 	s.mu.Unlock()
 }
 
 // take hands the batch's rows to one consumer's replay, recording
 // which consumer took it; the entry is removed once every consumer
 // has taken it.
-func (s *replayStash) take(stream string, batchID int64, sp string) []types.Row {
+func (s *replayStash) take(k batchKey, sp string) []types.Row {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	k := stashKey{stream: stream, batchID: batchID}
 	b, ok := s.m[k]
 	if !ok {
 		return nil
@@ -93,7 +88,7 @@ func (s *replayStash) take(stream string, batchID int64, sp string) []types.Row 
 	} else {
 		s.m[k] = b
 	}
-	return b.rows
+	return b.Rows
 }
 
 // sweepOnce reports whether the stream still needs its table sweep,
@@ -118,14 +113,14 @@ func (s *replayStash) drain() []pendingBatch {
 	for _, b := range s.m {
 		out = append(out, b)
 	}
-	s.m = make(map[stashKey]pendingBatch)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].stream != out[j].stream {
-			return out[i].stream < out[j].stream
-		}
-		return out[i].batchID < out[j].batchID
-	})
+	s.m = make(map[batchKey]pendingBatch)
+	slices.SortFunc(out, comparePending)
 	return out
+}
+
+// comparePending orders batches by (stream, batch ID).
+func comparePending(a, b pendingBatch) int {
+	return cmp.Or(strings.Compare(a.Stream, b.Stream), cmp.Compare(a.ID, b.ID))
 }
 
 // LoadSnapshot implements recovery.Engine: it restores the latest
@@ -186,7 +181,7 @@ func (e *Engine) ReplayRecord(rec *wal.Record) error {
 	t := getTask()
 	t.sp = rec.SP
 	t.params = rec.Params
-	t.batchID = rec.BatchID
+	t.in.ID = rec.BatchID
 	t.kind = rec.Kind
 	t.noLog = true
 	t.reply = reply
@@ -197,21 +192,18 @@ func (e *Engine) ReplayRecord(rec *wal.Record) error {
 		// node, whose log is not ours to read). Replay re-admits the
 		// batch on the partition's ledger, so a post-recovery re-send —
 		// or the sending node's re-delivery — is suppressed.
-		t.batch = rec.Batch
-		t.inputStream = e.spInput[rec.SP]
-		part.ledger.Admit(t.inputStream, rec.BatchID)
+		t.in = stream.Batch{Stream: e.spInput[rec.SP], ID: rec.BatchID, Rows: rec.Batch}
+		part.ledger.Admit(t.in.Stream, t.in.ID)
 	case wal.KindInterior:
-		t.inputStream = e.spInput[rec.SP]
+		t.in.Stream = e.spInput[rec.SP]
 		// Under strong recovery the upstream TE replayed with PE
 		// triggers disabled, so its output batch is parked in the
 		// replay stash (or, if it predates the crash snapshot, in
 		// some partition's stream table). Hand the rows to the
 		// consumer task; it re-enters them at the logged execution
 		// site inside the TE.
-		if t.inputStream != "" {
-			if rows := e.takeReplayBatch(t.inputStream, rec.BatchID, rec.SP); len(rows) > 0 {
-				t.batch = rows
-			}
+		if t.in.Stream != "" {
+			t.in.Rows = e.takeReplayBatch(keyOf(t.in), rec.SP)
 		}
 	}
 	if !part.sched.PushBack(t) {
@@ -229,12 +221,12 @@ func (e *Engine) ReplayRecord(rec *wal.Record) error {
 // scheduling maintains. The stash is created lazily so a recovery
 // driver invoked directly on the engine (bypassing Engine.Recover)
 // still replays correctly.
-func (e *Engine) takeReplayBatch(streamKey string, batchID int64, sp string) []types.Row {
+func (e *Engine) takeReplayBatch(k batchKey, sp string) []types.Row {
 	if e.stash == nil {
 		e.stash = newReplayStash()
 	}
-	e.sweepStreamToStash(streamKey)
-	return e.stash.take(streamKey, batchID, sp)
+	e.sweepStreamToStash(k.stream)
+	return e.stash.take(k, sp)
 }
 
 // sweepStreamToStash moves every pending batch of one stream, on every
@@ -254,10 +246,9 @@ func (e *Engine) sweepStreamToStash(streamKey string) {
 			if !ok {
 				return nil
 			}
-			for _, b := range storage.PendingBatches(tbl) {
-				if rows := storage.BatchRows(tbl, b); len(rows) > 0 {
-					storage.DeleteBatch(tbl, b, nil)
-					e.stash.put(streamKey, b, p.id, rows, refs)
+			for _, id := range storage.PendingBatches(tbl) {
+				if rows := takeBatch(tbl, id); len(rows) > 0 {
+					e.stash.put(stream.Batch{Stream: streamKey, ID: id, Rows: rows}, p.id, refs)
 				}
 			}
 			return nil
@@ -265,29 +256,29 @@ func (e *Engine) sweepStreamToStash(streamKey string) {
 	}
 }
 
+// takeBatch removes batch id from tbl, returning its rows; nil when
+// the table holds none.
+func takeBatch(tbl *storage.Table, id int64) []types.Row {
+	rows := storage.BatchRows(tbl, id)
+	if len(rows) > 0 {
+		storage.DeleteBatch(tbl, id, nil)
+	}
+	return rows
+}
+
 // stashAppends parks a replayed TE's produced batches in the replay
 // stash; the partition goroutine calls it from afterCommit in place of
 // trigger dispatch while strong replay has PE triggers disabled.
 func (p *partition) stashAppends(t *task, appends []ee.StreamAppend) {
-	seen := make(map[gcKey]bool)
-	for _, ap := range appends {
-		if ap.Table == strings.ToLower(t.inputStream) {
-			continue // the TE's own input: consumed, not produced
-		}
-		key := gcKey{stream: ap.Table, batchID: ap.BatchID}
-		if seen[key] || len(p.eng.consumers[ap.Table]) == 0 {
-			continue
-		}
-		seen[key] = true
-		if tbl, ok := p.cat.Lookup(ap.Table); ok {
-			if rows := storage.BatchRows(tbl, ap.BatchID); len(rows) > 0 {
-				storage.DeleteBatch(tbl, ap.BatchID, nil)
+	p.forEachProduced(t, appends, func(b stream.Batch, consumers []string) {
+		if tbl, ok := p.cat.Lookup(b.Stream); ok {
+			if b.Rows = takeBatch(tbl, b.ID); len(b.Rows) > 0 {
 				// One take per consumer: each consumer's logged TE
 				// replays against the same batch.
-				p.eng.stash.put(ap.Table, ap.BatchID, p.id, rows, len(p.eng.consumers[ap.Table]))
+				p.eng.stash.put(b, p.id, len(consumers))
 			}
 		}
-	}
+	})
 }
 
 // consumersOf resolves a stream's firing targets: its PE-trigger
@@ -302,20 +293,19 @@ func (e *Engine) consumersOf(streamKey string) []string {
 	return nil
 }
 
-// makeConsumerTasks builds the consumer TE group for one batch under
-// the hand-off convention every dispatch path shares: one task per
-// consumer, the first carrying the rows and the group's GC refcount.
-func makeConsumerTasks(consumers []string, streamKey string, batchID int64, rows []types.Row) []*task {
-	ts := make([]*task, 0, len(consumers))
+// appendConsumerTasks appends the consumer TE group for one batch under
+// the convention every dispatch path shares: one task per consumer, the
+// first carrying the rows and the group's GC refcount.
+func appendConsumerTasks(ts []*task, consumers []string, b stream.Batch) []*task {
+	ts = slices.Grow(ts, len(consumers))
 	for i, c := range consumers {
 		ct := getTask()
 		ct.sp = c
-		ct.params = types.Row{types.NewInt(batchID)}
-		ct.batchID = batchID
+		ct.params = types.Row{types.NewInt(b.ID)}
+		ct.in = stream.Batch{Stream: b.Stream, ID: b.ID}
 		ct.kind = wal.KindInterior
-		ct.inputStream = streamKey
 		if i == 0 {
-			ct.batch = rows
+			ct.in.Rows = b.Rows
 			ct.gcRefs = len(consumers)
 		}
 		ts = append(ts, ct)
@@ -348,13 +338,10 @@ func (e *Engine) FirePendingStreamTriggers() error {
 				if len(e.consumersOf(key)) == 0 {
 					continue
 				}
-				for _, b := range storage.PendingBatches(tbl) {
-					rows := storage.BatchRows(tbl, b)
-					if len(rows) == 0 {
-						continue
+				for _, id := range storage.PendingBatches(tbl) {
+					if rows := takeBatch(tbl, id); len(rows) > 0 {
+						all = append(all, pendingBatch{Batch: stream.Batch{Stream: key, ID: id, Rows: rows}, pid: p.id})
 					}
-					storage.DeleteBatch(tbl, b, nil)
-					all = append(all, pendingBatch{stashKey: stashKey{stream: key, batchID: b}, rows: rows, pid: p.id})
 				}
 			}
 			return nil
@@ -363,29 +350,24 @@ func (e *Engine) FirePendingStreamTriggers() error {
 			return err
 		}
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].stream != all[j].stream {
-			return all[i].stream < all[j].stream
-		}
-		return all[i].batchID < all[j].batchID
-	})
+	slices.SortFunc(all, comparePending)
 	perPart := make(map[int][]*task)
 	// park puts a batch's rows back in its source partition's table.
 	park := func(pb pendingBatch) error {
 		return e.onPartition(e.part(pb.pid), func(p *partition) error {
-			return p.placeMovedBatch(pb.stream, pb.rows, pb.batchID, nil)
+			return p.placeMovedBatch(pb.Batch, nil)
 		})
 	}
 	for _, pb := range all {
 		var remaining []string
-		for _, c := range e.consumersOf(pb.stream) {
+		for _, c := range e.consumersOf(pb.Stream) {
 			if pb.taken == nil || !pb.taken[c] {
 				remaining = append(remaining, c)
 			}
 		}
 		target := pb.pid
 		if e.opts.PartitionBy != nil && e.nglobal > 1 {
-			target = wrapPartition(e.opts.PartitionBy(pb.stream, pb.rows), e.nglobal)
+			target = wrapPartition(e.opts.PartitionBy(pb.Stream, pb.Rows), e.nglobal)
 		}
 		if len(remaining) == 0 {
 			// Every consumer of this batch already replayed (possible
@@ -400,24 +382,24 @@ func (e *Engine) FirePendingStreamTriggers() error {
 			// The batch routes to a partition another node owns: the
 			// remote re-dispatch path. Park the rows back in the source
 			// partition's table — the sender-side retained copy — then
-			// hand the batch to the transport with the re-fire hint.
-			// The receiving node's ledger suppresses re-deliveries it
-			// already committed (its ack deletes the parked copy), so a
-			// restart loop cannot double-apply the batch.
+			// hand the batch to the transport. The receiving node's
+			// ledger suppresses re-deliveries it already committed (its
+			// ack deletes the parked copy), so a restart loop cannot
+			// double-apply the batch.
 			if err := park(pb); err != nil {
 				return err
 			}
-			if _, err := e.transport.Deliver(pb.pid, target, pb.stream, pb.batchID, pb.rows, true); err != nil {
+			if _, err := e.transport.Deliver(pb.pid, target, pb.Batch); err != nil {
 				return err
 			}
 			continue
 		}
-		perPart[target] = append(perPart[target], makeConsumerTasks(remaining, pb.stream, pb.batchID, pb.rows)...)
+		perPart[target] = appendConsumerTasks(perPart[target], remaining, pb.Batch)
 		// Keep the target's ledger ahead of the batches fired onto it.
 		// The loop runs in (stream, batchID) order, so each admission
 		// raises the stream's high on that partition or is already
 		// covered by it.
-		e.part(target).ledger.Admit(pb.stream, pb.batchID)
+		e.part(target).ledger.Admit(pb.Stream, pb.ID)
 	}
 	// Push in partition-index order: this sits on the replay path,
 	// where map-iteration order must never reach an effect.

@@ -1,7 +1,9 @@
 package pe
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"sstore/internal/stream"
@@ -347,5 +349,85 @@ func TestNestedCommitErrorPropagates(t *testing.T) {
 	}
 	if n := e.SPExecutions("Good"); n != 1 {
 		t.Errorf("committed child executions = %d, want 1", n)
+	}
+}
+
+// TestBatchRowsBorderOnly: ProcCtx.BatchRows hands the batch's tuples
+// to border TEs only. Interior TEs get nil wherever they run — beside
+// their producer, as a relocated batch's consumers on another
+// partition, or as hand-off TEs — so an SP body cannot come to depend
+// on where PartitionBy sent its batch.
+func TestBatchRowsBorderOnly(t *testing.T) {
+	for _, target := range []int{0, 1} {
+		t.Run(fmt.Sprintf("interior-on-p%d", target), func(t *testing.T) {
+			e := newEngine(t, Options{Partitions: 2, PartitionBy: func(s string, _ []types.Row) int {
+				if s == "fan" {
+					return target
+				}
+				return 0
+			}})
+			var mu sync.Mutex
+			seen := make(map[string]int) // SP → rows BatchRows returned, summed
+			record := func(ctx *ProcCtx) {
+				mu.Lock()
+				seen[ctx.SP()] += len(ctx.BatchRows())
+				mu.Unlock()
+			}
+			for _, ddl := range []string{"CREATE STREAM fan_in (v BIGINT)", "CREATE STREAM fan (v BIGINT)"} {
+				if err := e.ExecDDL(ddl); err != nil {
+					t.Fatal(err)
+				}
+			}
+			procs := map[string]ProcFunc{
+				"Fan": func(ctx *ProcCtx) error {
+					record(ctx)
+					_, err := ctx.Query("INSERT INTO fan SELECT v FROM fan_in")
+					return err
+				},
+				"A": func(ctx *ProcCtx) error { record(ctx); return nil },
+				"B": func(ctx *ProcCtx) error { record(ctx); return nil },
+			}
+			for name, fn := range procs {
+				if err := e.RegisterProc(&StoredProc{Name: name, Func: fn}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			w, err := workflow.New("fan", []workflow.Node{
+				{SP: "Fan", Input: "fan_in", Outputs: []string{"fan"}},
+				{SP: "A", Input: "fan"},
+				{SP: "B", Input: "fan"},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.DeployWorkflow(w); err != nil {
+				t.Fatal(err)
+			}
+			for id := int64(1); id <= 3; id++ {
+				if err := e.Ingest("fan_in", &stream.Batch{ID: id, Rows: []types.Row{{types.NewInt(id)}}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, ack, err := e.DeliverHandoff(0, 1, stream.Batch{Stream: "fan", ID: 100, Rows: []types.Row{{types.NewInt(100)}}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := <-ack; err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Drain(); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.TriggerErr(); err != nil {
+				t.Fatal(err)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			for sp, want := range map[string]int{"Fan": 3, "A": 0, "B": 0} {
+				if seen[sp] != want {
+					t.Errorf("%s: BatchRows returned %d rows over its TEs, want %d", sp, seen[sp], want)
+				}
+			}
+		})
 	}
 }

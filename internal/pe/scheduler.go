@@ -7,6 +7,7 @@ package pe
 import (
 	"sync"
 
+	"sstore/internal/stream"
 	"sstore/internal/types"
 	"sstore/internal/wal"
 )
@@ -15,21 +16,19 @@ import (
 type task struct {
 	// sp is the stored procedure to execute; empty for control
 	// tasks.
-	sp      string
-	params  types.Row
-	batchID int64
-	// batch carries the atomic batch's tuples when the TE must place
-	// them into its input stream itself: border TEs (the ingest path,
-	// where arrival and processing commit atomically, §2.1) and
-	// interior TEs whose batch was routed to this partition by the
-	// cross-partition dispatch path (the rows move with the task).
-	batch []types.Row
+	sp     string
+	params types.Row
+	// in is the atomic batch this TE consumes: in.Stream is its input
+	// stream table, which the engine garbage-collects after commit once
+	// every consumer ran (§3.2.3). in.Rows is set when the TE must
+	// place the tuples into its input stream itself: border TEs (the
+	// ingest path, where arrival and processing commit atomically,
+	// §2.1), hand-off TEs, and interior TEs whose batch was routed to
+	// this partition by cross-partition dispatch (the rows move with
+	// the task).
+	in stream.Batch
 	// kind classifies the TE for command logging.
 	kind wal.RecordKind
-	// inputStream is the stream table this TE consumes; after commit
-	// the engine garbage-collects the batch once every consumer ran
-	// (§3.2.3).
-	inputStream string
 	// gcRefs, on an interior task that carries a relocated batch
 	// (cross-partition dispatch), is the total number of consumers
 	// sharing the batch; the carrying task registers the remaining
@@ -47,6 +46,13 @@ type task struct {
 	// noLog suppresses command logging for this TE (recovery
 	// replay).
 	noLog bool
+}
+
+// carriesRelocated reports whether t is an interior TE carrying a
+// relocated batch's rows: until its TE places them, the rows exist
+// only in the task.
+func (t *task) carriesRelocated() bool {
+	return t.kind == wal.KindInterior && len(t.in.Rows) > 0 && t.in.Stream != ""
 }
 
 type nestedChild struct {

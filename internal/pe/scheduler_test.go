@@ -4,18 +4,20 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"sstore/internal/stream"
 )
 
 func TestSchedulerFIFOOrder(t *testing.T) {
 	s := newScheduler()
 	for i := 0; i < 5; i++ {
-		if !s.PushBack(&task{batchID: int64(i)}) {
+		if !s.PushBack(&task{in: stream.Batch{ID: int64(i)}}) {
 			t.Fatal("push failed")
 		}
 	}
 	for i := 0; i < 5; i++ {
 		tk, ok := s.Pop()
-		if !ok || tk.batchID != int64(i) {
+		if !ok || tk.in.ID != int64(i) {
 			t.Fatalf("pop %d = %+v, %v", i, tk, ok)
 		}
 	}
@@ -121,21 +123,21 @@ func TestDequeWrapAround(t *testing.T) {
 	expect := int64(0)
 	for cycle := 0; cycle < 50; cycle++ {
 		for i := 0; i < 7; i++ {
-			d.pushBack(&task{batchID: next})
+			d.pushBack(&task{in: stream.Batch{ID: next}})
 			next++
 		}
 		for i := 0; i < 5; i++ {
 			got := d.popFront()
-			if got.batchID != expect {
-				t.Fatalf("cycle %d: popped %d, want %d", cycle, got.batchID, expect)
+			if got.in.ID != expect {
+				t.Fatalf("cycle %d: popped %d, want %d", cycle, got.in.ID, expect)
 			}
 			expect++
 		}
 	}
 	for d.len() > 0 {
 		got := d.popFront()
-		if got.batchID != expect {
-			t.Fatalf("drain: popped %d, want %d", got.batchID, expect)
+		if got.in.ID != expect {
+			t.Fatalf("drain: popped %d, want %d", got.in.ID, expect)
 		}
 		expect++
 	}
@@ -150,11 +152,11 @@ func TestDequePushFrontOrder(t *testing.T) {
 	var d deque
 	d.pushBack(&task{sp: "back"})
 	for i := 0; i < 20; i++ { // force several grows
-		d.pushFront(&task{batchID: int64(i)})
+		d.pushFront(&task{in: stream.Batch{ID: int64(i)}})
 	}
 	for i := 19; i >= 0; i-- {
-		if got := d.popFront(); got.batchID != int64(i) {
-			t.Fatalf("popped %d, want %d", got.batchID, i)
+		if got := d.popFront(); got.in.ID != int64(i) {
+			t.Fatalf("popped %d, want %d", got.in.ID, i)
 		}
 	}
 	if got := d.popFront(); got.sp != "back" {
@@ -168,13 +170,13 @@ func TestDequePushFrontOrder(t *testing.T) {
 func TestSchedulerForEachQueuedOrder(t *testing.T) {
 	s := newScheduler()
 	for i := 0; i < 3; i++ {
-		s.PushBack(&task{batchID: int64(100 + i)})
+		s.PushBack(&task{in: stream.Batch{ID: int64(100 + i)}})
 	}
 	s.Pop() // move head so the ring has wrapped state
-	s.PushBack(&task{batchID: 103})
-	s.PushFrontBatch([]*task{{batchID: 1}, {batchID: 2}})
+	s.PushBack(&task{in: stream.Batch{ID: 103}})
+	s.PushFrontBatch([]*task{{in: stream.Batch{ID: 1}}, {in: stream.Batch{ID: 2}}})
 	var got []int64
-	s.ForEachQueued(func(t *task) { got = append(got, t.batchID) })
+	s.ForEachQueued(func(t *task) { got = append(got, t.in.ID) })
 	want := []int64{1, 2, 101, 102, 103}
 	if len(got) != len(want) {
 		t.Fatalf("visited %v, want %v", got, want)

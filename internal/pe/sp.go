@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"sstore/internal/ee"
+	"sstore/internal/stream"
 	"sstore/internal/types"
 )
 
@@ -45,12 +46,12 @@ type StoredProc struct {
 // access, SQL execution against the local partition, and result
 // reporting. It is valid only for the duration of the ProcFunc call.
 type ProcCtx struct {
-	part    *partition
-	ectx    *ee.ExecCtx
-	params  types.Row
-	batch   []types.Row
-	batchID int64
-	result  *Result
+	part   *partition
+	ectx   *ee.ExecCtx
+	params types.Row
+	// in is the consumed batch; its rows are kept only for a border TE.
+	in     stream.Batch
+	result *Result
 }
 
 // Params returns the invocation parameters (client-supplied for OLTP,
@@ -58,11 +59,12 @@ type ProcCtx struct {
 func (c *ProcCtx) Params() types.Row { return c.params }
 
 // BatchID returns the atomic batch being processed; 0 for OLTP.
-func (c *ProcCtx) BatchID() int64 { return c.batchID }
+func (c *ProcCtx) BatchID() int64 { return c.in.ID }
 
-// BatchRows returns the raw tuples of the input batch for border TEs
-// (interior TEs read their input stream table instead).
-func (c *ProcCtx) BatchRows() []types.Row { return c.batch }
+// BatchRows returns the raw tuples of the input batch for border TEs,
+// live or replayed; nil for every other TE. Interior and hand-off TEs
+// read their input stream table instead, wherever they run.
+func (c *ProcCtx) BatchRows() []types.Row { return c.in.Rows }
 
 // Partition returns the executing partition's index.
 func (c *ProcCtx) Partition() int { return c.part.id }

@@ -5,8 +5,7 @@ import (
 	"strings"
 
 	"sstore/internal/cluster"
-	"sstore/internal/storage"
-	"sstore/internal/types"
+	"sstore/internal/stream"
 	"sstore/internal/wal"
 )
 
@@ -24,18 +23,14 @@ import (
 type PartitionTransport interface {
 	// Owns reports whether the partition runs in this process.
 	Owns(pid int) bool
-	// Deliver hands a relocated batch to the partition that owns
-	// stream's consumers for it. retained=false means delivery is
+	// Deliver hands a relocated batch to partition target, which owns
+	// the batch's consumers for it. retained=false means delivery is
 	// complete and the caller must drop its local copy of the batch
 	// (the rows now travel in the consumer tasks); retained=true means
 	// the transport delivers asynchronously and the caller must KEEP
 	// its copy — the transport deletes it when the receiving node
-	// acknowledges the batch's commit. front marks a recovery re-fire;
-	// it travels as a wire-level priority hint only, because the
-	// receiver always enqueues at the back: per-(stream, partition)
-	// delivery order is what the exactly-once ledger admits against,
-	// and it outranks the hint (DESIGN.md §13).
-	Deliver(from, target int, stream string, batchID int64, rows []types.Row, front bool) (retained bool, err error)
+	// acknowledges the batch's commit.
+	Deliver(from, target int, b stream.Batch) (retained bool, err error)
 	// Pending counts deliveries not yet acknowledged by their
 	// receiving node; always 0 in-process.
 	Pending() int
@@ -45,19 +40,19 @@ type PartitionTransport interface {
 
 // deliverLocal enqueues a relocated batch's consumer tasks on a local
 // partition — the shared tail of both transports. The rows travel in
-// the first consumer task (makeConsumerTasks), pushed as one unit so
+// the first consumer task (appendConsumerTasks), pushed as one unit so
 // batches of a stream arrive in the producer's commit order.
-func (e *Engine) deliverLocal(target int, streamKey string, batchID int64, rows []types.Row) error {
+func (e *Engine) deliverLocal(target int, b stream.Batch) error {
 	p := e.part(target)
 	if p == nil {
 		return fmt.Errorf("pe: no local partition %d", target)
 	}
-	consumers := e.consumers[streamKey]
+	consumers := e.consumers[b.Stream]
 	if len(consumers) == 0 {
-		return fmt.Errorf("pe: no consumer for stream %q", streamKey)
+		return fmt.Errorf("pe: no consumer for stream %q", b.Stream)
 	}
-	if !p.sched.PushBackBatch(makeConsumerTasks(consumers, streamKey, batchID, rows)) {
-		return fmt.Errorf("pe: partition %d closed; batch %d on %s not dispatched", target, batchID, streamKey)
+	if !p.sched.PushBackBatch(appendConsumerTasks(nil, consumers, b)) {
+		return fmt.Errorf("pe: partition %d closed; batch %d on %s not dispatched", target, b.ID, b.Stream)
 	}
 	return nil
 }
@@ -68,8 +63,8 @@ type localTransport struct{ e *Engine }
 
 func (lt localTransport) Owns(int) bool { return true }
 
-func (lt localTransport) Deliver(from, target int, streamKey string, batchID int64, rows []types.Row, front bool) (bool, error) {
-	return false, lt.e.deliverLocal(target, streamKey, batchID, rows)
+func (lt localTransport) Deliver(from, target int, b stream.Batch) (bool, error) {
+	return false, lt.e.deliverLocal(target, b)
 }
 
 func (lt localTransport) Pending() int { return 0 }
@@ -90,17 +85,16 @@ type clusterTransport struct {
 
 func (ct *clusterTransport) Owns(pid int) bool { return ct.e.part(pid) != nil }
 
-func (ct *clusterTransport) Deliver(from, target int, streamKey string, batchID int64, rows []types.Row, front bool) (bool, error) {
+func (ct *clusterTransport) Deliver(from, target int, b stream.Batch) (bool, error) {
 	if ct.e.part(target) != nil {
-		return false, ct.e.deliverLocal(target, streamKey, batchID, rows)
+		return false, ct.e.deliverLocal(target, b)
 	}
 	node, err := ct.cfg.Owner(target)
 	if err != nil {
 		return false, err
 	}
-	e := ct.e
-	ct.peers.Handoff(node.ID, from, target, streamKey, batchID, rows, front,
-		func(dup bool, err error) { e.handoffAcked(from, streamKey, batchID, err) })
+	e, k := ct.e, keyOf(b)
+	ct.peers.Handoff(node.ID, from, target, b, func(dup bool, err error) { e.handoffAcked(from, k, err) })
 	return true, nil
 }
 
@@ -114,7 +108,7 @@ func (ct *clusterTransport) Close() error { return ct.peers.Close() }
 // A rejected hand-off keeps the copy (recovery re-fires it) and
 // surfaces like any trigger failure. Called from the peer read loop
 // with no cluster lock held.
-func (e *Engine) handoffAcked(from int, streamKey string, batchID int64, ackErr error) {
+func (e *Engine) handoffAcked(from int, k batchKey, ackErr error) {
 	p := e.part(from)
 	if p == nil {
 		return
@@ -122,13 +116,11 @@ func (e *Engine) handoffAcked(from int, streamKey string, batchID int64, ackErr 
 	t := getTask()
 	t.control = func(p *partition) error {
 		if ackErr != nil {
-			p.noteTriggerErr(fmt.Errorf("pe: hand-off of batch %d on %s: %w", batchID, streamKey, ackErr))
+			p.noteTriggerErr(fmt.Errorf("pe: hand-off of batch %d on %s: %w", k.id, k.stream, ackErr))
 			return nil
 		}
-		if tbl, ok := p.cat.Lookup(streamKey); ok {
-			storage.DeleteBatch(tbl, batchID, nil)
-		}
-		delete(p.pendingGC, gcKey{stream: streamKey, batchID: batchID})
+		p.gcBatch(k)
+		delete(p.pendingGC, k)
 		return nil
 	}
 	if !p.sched.PushBack(t) {
@@ -148,29 +140,29 @@ func (e *Engine) handoffAcked(from int, streamKey string, batchID int64, ackErr 
 // Each consumer task carries the rows and places them itself
 // (placeMovedBatch) — so each TE, live or replayed, is self-contained:
 // its KindHandoff log record carries the rows, replays like a border
-// record, and needs no cross-record refcounting. The front hint is
-// deliberately ignored: hand-offs always enqueue at the back, because
-// delivery order is what the ledger admits against (DESIGN.md §13).
+// record, and needs no cross-record refcounting. Hand-offs enqueue at
+// the back: delivery order is what the ledger admits against
+// (DESIGN.md §13).
 //
 //sstore:deterministic
-func (e *Engine) DeliverHandoff(from, target int, streamName string, batchID int64, rows []types.Row, front bool) (dup bool, ack <-chan error, err error) {
+func (e *Engine) DeliverHandoff(from, target int, b stream.Batch) (dup bool, ack <-chan error, err error) {
 	p := e.part(target)
 	if p == nil {
 		return false, nil, e.remoteErr(target)
 	}
-	key := strings.ToLower(streamName)
-	consumers := e.consumersOf(key)
+	b.Stream = strings.ToLower(b.Stream)
+	consumers := e.consumersOf(b.Stream)
 	if len(consumers) == 0 {
-		return false, nil, fmt.Errorf("pe: no consumer for hand-off stream %q", streamName)
+		return false, nil, fmt.Errorf("pe: no consumer for hand-off stream %q", b.Stream)
 	}
-	if !p.ledger.Admit(key, batchID) {
+	if !p.ledger.Admit(b.Stream, b.ID) {
 		e.handoffsDup.Add(1)
 		return true, nil, nil
 	}
 	reply := make(chan callResult, len(consumers))
-	ts := makeConsumerTasks(consumers, key, batchID, rows)
+	ts := appendConsumerTasks(nil, consumers, b)
 	for _, t := range ts {
-		t.kind, t.batch, t.gcRefs, t.reply = wal.KindHandoff, rows, 0, reply
+		t.kind, t.in, t.gcRefs, t.reply = wal.KindHandoff, b, 0, reply
 	}
 	if !p.sched.PushBackBatch(ts) {
 		for _, t := range ts {
@@ -179,7 +171,7 @@ func (e *Engine) DeliverHandoff(from, target int, streamName string, batchID int
 		// The batch never entered the engine: release the admission so
 		// the sender's re-delivery after this node restarts is not
 		// rejected as a duplicate.
-		p.ledger.Release(key, batchID)
+		p.ledger.Release(b.Stream, b.ID)
 		return false, nil, fmt.Errorf("pe: partition %d closed", target)
 	}
 	e.handoffsRecv.Add(1)

@@ -131,7 +131,7 @@ func TestClusterHandoffExactlyOnce(t *testing.T) {
 	// Duplicate suppression at the receiving seam: re-delivering an
 	// already-admitted batch ID reports dup without re-running anything.
 	rows := []sstore.Row{{sstore.Int(2), sstore.Int(9999)}}
-	dup, ack, err := engs[1].DeliverHandoff(0, 2, "scale_jobs", 9999, rows, false)
+	dup, ack, err := engs[1].DeliverHandoff(0, 2, sstore.Batch{Stream: "scale_jobs", ID: 9999, Rows: rows})
 	if err != nil {
 		t.Fatalf("fresh hand-off: %v", err)
 	}
@@ -141,7 +141,7 @@ func TestClusterHandoffExactlyOnce(t *testing.T) {
 	if err := <-ack; err != nil {
 		t.Fatalf("hand-off 9999 commit: %v", err)
 	}
-	dup, _, err = engs[1].DeliverHandoff(0, 2, "scale_jobs", 9999, rows, false)
+	dup, _, err = engs[1].DeliverHandoff(0, 2, sstore.Batch{Stream: "scale_jobs", ID: 9999, Rows: rows})
 	if err != nil {
 		t.Fatalf("re-delivered hand-off: %v", err)
 	}

@@ -224,7 +224,7 @@ func (s *Server) dispatch(req *wire.Request, wc *wire.Conn, inflight *sync.WaitG
 		// invariant the high-water ledger depends on. The OK response is
 		// the sender's signal to drop its retained copy, so it is held
 		// back until every consumer transaction committed.
-		dup, ack, err := s.eng.DeliverHandoff(req.From, req.Partition, req.Stream, req.BatchID, req.Rows, req.Front)
+		dup, ack, err := s.eng.DeliverHandoff(req.From, req.Partition, stream.Batch{Stream: req.Stream, ID: req.BatchID, Rows: req.Rows})
 		if err != nil {
 			wc.Reply(errResponse(req, err))
 			return

@@ -15,6 +15,10 @@ import (
 // Batch is one atomic batch: a finite, contiguous subsequence of a
 // stream that must be processed as a unit (§2.1).
 type Batch struct {
+	// Stream names the stream the batch belongs to. Inside the engine
+	// it is the lower-case catalog key; an ingest caller may leave it
+	// empty, since Ingest names the stream.
+	Stream string
 	// ID is the batch identifier; batches of one stream carry
 	// strictly increasing IDs.
 	ID int64

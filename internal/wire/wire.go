@@ -29,9 +29,7 @@
 //	query       := uvarint partition, uvarint sql-len, sql, row(params)
 //	stats       := (empty)
 //	drain       := (empty)
-//	handoff     := uvarint from, uvarint target, flags:u8 (bit0=front),
-//	               uvarint stream-len, stream, varint batch-id,
-//	               uvarint row-count, row*
+//	handoff     := uvarint from, uvarint target, ingest
 //	handoffpull := uvarint node-id
 //
 // Response bodies:
@@ -106,7 +104,7 @@ const (
 	Magic = "SSTR"
 	// ProtocolVersion is bumped on any incompatible framing or op
 	// change; peers reject a mismatch at connection open.
-	ProtocolVersion uint8 = 1
+	ProtocolVersion uint8 = 2
 	// HelloSize is the handshake's wire size: magic + version byte.
 	HelloSize = len(Magic) + 1
 )
@@ -190,11 +188,9 @@ type Request struct {
 	Partition int
 	SQL       string // params travel in Params
 
-	// OpHandoff: the sending partition and front-of-queue flag (set on
-	// recovery re-fire, which must outrank normally queued work). The
-	// batch identity and rows travel in Stream/BatchID/Rows.
-	From  int
-	Front bool
+	// OpHandoff: the sending partition. The batch identity and rows
+	// travel in Stream/BatchID/Rows.
+	From int
 
 	// OpHandoffPull: the requesting node's ID.
 	Node int
@@ -242,7 +238,11 @@ func AppendRequest(buf []byte, r *Request) []byte {
 	case OpCall:
 		buf = appendString(buf, r.SP)
 		buf = types.EncodeRow(buf, r.Params)
-	case OpIngest:
+	case OpIngest, OpHandoff:
+		if r.Op == OpHandoff {
+			buf = binary.AppendUvarint(buf, uint64(r.From))
+			buf = binary.AppendUvarint(buf, uint64(r.Partition))
+		}
 		buf = appendString(buf, r.Stream)
 		buf = binary.AppendVarint(buf, r.BatchID)
 		buf = binary.AppendUvarint(buf, uint64(len(r.Rows)))
@@ -253,20 +253,6 @@ func AppendRequest(buf []byte, r *Request) []byte {
 		buf = binary.AppendUvarint(buf, uint64(r.Partition))
 		buf = appendString(buf, r.SQL)
 		buf = types.EncodeRow(buf, r.Params)
-	case OpHandoff:
-		buf = binary.AppendUvarint(buf, uint64(r.From))
-		buf = binary.AppendUvarint(buf, uint64(r.Partition))
-		var flags uint8
-		if r.Front {
-			flags |= 1
-		}
-		buf = append(buf, flags)
-		buf = appendString(buf, r.Stream)
-		buf = binary.AppendVarint(buf, r.BatchID)
-		buf = binary.AppendUvarint(buf, uint64(len(r.Rows)))
-		for _, row := range r.Rows {
-			buf = types.EncodeRow(buf, row)
-		}
 	case OpHandoffPull:
 		buf = binary.AppendUvarint(buf, uint64(r.Node))
 	}
@@ -402,7 +388,11 @@ func DecodeRequest(payload []byte) (*Request, error) {
 	case OpCall:
 		r.SP = d.string()
 		r.Params = d.row()
-	case OpIngest:
+	case OpIngest, OpHandoff:
+		if r.Op == OpHandoff {
+			r.From = int(d.uvarint())
+			r.Partition = int(d.uvarint())
+		}
 		r.Stream = d.string()
 		r.BatchID = d.varint()
 		n := d.uvarint()
@@ -418,19 +408,6 @@ func DecodeRequest(payload []byte) (*Request, error) {
 		r.Partition = int(d.uvarint())
 		r.SQL = d.string()
 		r.Params = d.row()
-	case OpHandoff:
-		r.From = int(d.uvarint())
-		r.Partition = int(d.uvarint())
-		r.Front = d.byte()&1 != 0
-		r.Stream = d.string()
-		r.BatchID = d.varint()
-		n := d.uvarint()
-		if d.err == nil && n > uint64(len(payload)) {
-			d.fail("row count %d exceeds frame", n)
-		}
-		for i := uint64(0); i < n && d.err == nil; i++ {
-			r.Rows = append(r.Rows, d.row())
-		}
 	case OpHandoffPull:
 		r.Node = int(d.uvarint())
 	case OpStats, OpDrain:

@@ -226,7 +226,6 @@ func TestHandoffRequestRoundTrip(t *testing.T) {
 		Op:        OpHandoff,
 		From:      1,
 		Partition: 5,
-		Front:     true,
 		Stream:    "scale_jobs",
 		BatchID:   1234,
 		Rows: []types.Row{
@@ -236,18 +235,13 @@ func TestHandoffRequestRoundTrip(t *testing.T) {
 	}
 	got := roundTripReq(t, in)
 	if got.ID != in.ID || got.Op != in.Op || got.From != 1 || got.Partition != 5 ||
-		!got.Front || got.Stream != in.Stream || got.BatchID != 1234 || len(got.Rows) != 2 {
+		got.Stream != in.Stream || got.BatchID != 1234 || len(got.Rows) != 2 {
 		t.Fatalf("round trip mangled handoff: %+v → %+v", in, got)
 	}
 	for i := range in.Rows {
 		if !got.Rows[i].Equal(in.Rows[i]) {
 			t.Errorf("row %d: %v → %v", i, in.Rows[i], got.Rows[i])
 		}
-	}
-	// Front=false must round-trip too (flag byte, not presence).
-	in.Front = false
-	if got := roundTripReq(t, in); got.Front {
-		t.Error("Front=false came back true")
 	}
 }
 
