@@ -912,8 +912,10 @@ func (p *selectPlan) newSink(params []types.Value) (func(*evalEnv) error, func()
 		}
 		return g, nil
 	}
+	// key is this run's scratch: every input row's group key is built
+	// in it, and only a new group keeps a copy.
+	key := make(types.Row, len(p.agg.groupBy))
 	process := func(env *evalEnv) error {
-		key := make(types.Row, len(p.agg.groupBy))
 		for i, ge := range p.agg.groupBy {
 			v, err := ge(env)
 			if err != nil {
@@ -931,7 +933,7 @@ func (p *selectPlan) newSink(params []types.Value) (func(*evalEnv) error, func()
 		}
 		if g == nil {
 			var err error
-			g, err = newGroup(key)
+			g, err = newGroup(append(types.Row(nil), key...))
 			if err != nil {
 				return err
 			}

@@ -89,6 +89,8 @@ func (h *HashIndex) Delete(key Key, tid uint64) {
 }
 
 // Lookup implements Index.
+//
+//sstore:nomalloc
 func (h *HashIndex) Lookup(key Key) []uint64 {
 	for _, e := range h.buckets[HashKey(key)] {
 		if KeysEqual(e.key, key) {

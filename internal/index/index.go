@@ -58,6 +58,8 @@ func CompareKeys(a, b Key) int {
 }
 
 // HashKey combines the hashes of the key's values.
+//
+//sstore:nomalloc
 func HashKey(k Key) uint64 {
 	h := uint64(1469598103934665603) // FNV-64 offset basis
 	for _, v := range k {
@@ -68,6 +70,8 @@ func HashKey(k Key) uint64 {
 }
 
 // KeysEqual reports whether two composite keys are pairwise equal.
+//
+//sstore:nomalloc
 func KeysEqual(a, b Key) bool {
 	if len(a) != len(b) {
 		return false

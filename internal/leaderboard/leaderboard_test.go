@@ -1,6 +1,7 @@
 package leaderboard
 
 import (
+	"runtime"
 	"testing"
 
 	"sstore/internal/pe"
@@ -90,6 +91,52 @@ func TestSStoreWorkflowProcessesVotes(t *testing.T) {
 		if res.Rows[0][0].Int() != 0 {
 			t.Errorf("stream %s not drained", s)
 		}
+	}
+}
+
+// TestVoteMallocsBounded caps heap allocations per vote through the
+// S-Store deployment at steady state: the trending window is full and
+// every measured vote runs both SPs (validate, then slide the window
+// and rebuild the three boards, one of them a GROUP BY over the
+// 100-row window), all before the first elimination. A path that
+// allocates per window row costs 100 per vote per allocation.
+func TestVoteMallocsBounded(t *testing.T) {
+	cfg := Config{} // §1.1 defaults: 100-vote window, elimination every 1000
+	eng := newSStore(t, cfg)
+	gen := NewGenerator(1, cfg)
+	gen.DupRate = 0 // every vote is valid and reaches the window
+	const warm, n = 200, 600
+	batches := make([]stream.Batch, warm+n)
+	for i := range batches {
+		batches[i] = stream.Batch{ID: int64(i + 1), Rows: []types.Row{gen.Next()}}
+	}
+	ingest := func(bs []stream.Batch) {
+		for i := range bs {
+			if err := eng.IngestSync(StreamVotesIn, &bs[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ingest(batches[:warm])
+	runtime.GC()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	ingest(batches[warm:])
+	runtime.ReadMemStats(&m1)
+	if err := eng.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.AdHoc(0, "SELECT n FROM vote_counter")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Rows[0][0].Int(); got != warm+n {
+		t.Fatalf("counted %d votes, want %d all valid and before the first elimination", got, warm+n)
+	}
+	perVote := float64(m1.Mallocs-m0.Mallocs) / n
+	t.Logf("steady voting: %.1f mallocs/vote", perVote)
+	if perVote >= 350 {
+		t.Fatalf("steady voting allocates %.1f/vote, want < 350", perVote)
 	}
 }
 

@@ -74,3 +74,24 @@ func TestDecodeRowAppendMatchesDecodeRow(t *testing.T) {
 		}
 	}
 }
+
+//sstore:allocgate Value.Hash
+//sstore:allocgate fnvUint64
+//sstore:allocgate numericHashBits
+//sstore:allocgate Value.Equal
+//sstore:allocgate Value.Compare
+//sstore:allocgate Value.IsNumeric
+//sstore:allocgate Value.Float
+func TestValueHashAllocFree(t *testing.T) {
+	i, f, s := NewInt(-42), NewFloat(2.5), NewText("contestant")
+	var sink uint64
+	if n := testing.AllocsPerRun(1000, func() {
+		sink += i.Hash() + s.Hash()
+		if !i.Equal(NewInt(-42)) || !f.Equal(NewFloat(2.5)) || s.Equal(NewText("x")) || i.Float() != -42 {
+			t.Fatal("comparison broke")
+		}
+	}); n != 0 {
+		t.Fatalf("Value.Hash/Equal allocate %v/op; they back every hash-index probe and GROUP BY row", n)
+	}
+	_ = sink
+}

@@ -6,7 +6,6 @@ package types
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"strconv"
 	"strings"
@@ -124,6 +123,8 @@ func (v Value) Int() int64 {
 
 // Float returns the float payload, coercing integers. It panics for
 // non-numeric kinds.
+//
+//sstore:nomalloc
 func (v Value) Float() float64 {
 	switch v.kind {
 	case KindFloat:
@@ -131,6 +132,7 @@ func (v Value) Float() float64 {
 	case KindInt, KindTimestamp:
 		return float64(v.i)
 	default:
+		//lint:allow hotalloc -- panic message for a caller's type error; never on a valid path
 		panic(fmt.Sprintf("types: Float() on %s value", v.kind))
 	}
 }
@@ -162,6 +164,8 @@ func (v Value) Timestamp() int64 {
 }
 
 // IsNumeric reports whether the value participates in arithmetic.
+//
+//sstore:nomalloc
 func (v Value) IsNumeric() bool {
 	return v.kind == KindInt || v.kind == KindFloat || v.kind == KindTimestamp
 }
@@ -196,6 +200,8 @@ func (v Value) String() string {
 //
 // It returns -1, 0, or +1, and an error when the kinds are not mutually
 // comparable (e.g. text vs int).
+//
+//sstore:nomalloc
 func (v Value) Compare(o Value) (int, error) {
 	if v.kind == KindNull || o.kind == KindNull {
 		switch {
@@ -229,6 +235,7 @@ func (v Value) Compare(o Value) (int, error) {
 		}
 	}
 	if v.kind != o.kind {
+		//lint:allow hotalloc -- type error on incomparable kinds; the planner type-checks before any hot path compares
 		return 0, fmt.Errorf("types: cannot compare %s with %s", v.kind, o.kind)
 	}
 	switch v.kind {
@@ -244,6 +251,7 @@ func (v Value) Compare(o Value) (int, error) {
 			return 0, nil
 		}
 	default:
+		//lint:allow hotalloc -- type error on incomparable kinds; the planner type-checks before any hot path compares
 		return 0, fmt.Errorf("types: cannot compare %s values", v.kind)
 	}
 }
@@ -260,10 +268,18 @@ func (v Value) MustCompare(o Value) int {
 
 // Equal reports whether two values are equal under Compare semantics.
 // Incomparable kinds are unequal.
+//
+//sstore:nomalloc
 func (v Value) Equal(o Value) bool {
 	c, err := v.Compare(o)
 	return err == nil && c == 0
 }
+
+// FNV-1a 64-bit parameters.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
 
 // Hash returns a 64-bit hash of the value, consistent with Equal: any
 // two values that compare equal (including mixed int/float/timestamp
@@ -271,38 +287,52 @@ func (v Value) Equal(o Value) bool {
 // All numerics therefore hash through their float64 image; distinct
 // huge ints that collapse to one float64 merely share a hash bucket,
 // and the bucket's exact-key check keeps them distinct.
+//
+// It is FNV-1a over one zero byte for NULL, the 8 little-endian bytes
+// of bool and numeric values, and the bytes of text: hash/fnv's New64a
+// result, computed inline so no hasher escapes to the heap.
+//
+//sstore:nomalloc
 func (v Value) Hash() uint64 {
-	h := fnv.New64a()
+	h := uint64(fnvOffset64)
 	switch v.kind {
 	case KindNull:
-		h.Write([]byte{0})
+		h *= fnvPrime64 // h ^= 0 first: one zero byte
 	case KindBool:
-		writeUint64(h, uint64(v.i))
+		h = fnvUint64(h, uint64(v.i))
 	case KindInt, KindTimestamp:
-		writeUint64(h, numericHashBits(float64(v.i)))
+		h = fnvUint64(h, numericHashBits(float64(v.i)))
 	case KindFloat:
-		writeUint64(h, numericHashBits(v.f))
+		h = fnvUint64(h, numericHashBits(v.f))
 	case KindText:
-		h.Write([]byte(v.s))
+		for i := 0; i < len(v.s); i++ {
+			h ^= uint64(v.s[i])
+			h *= fnvPrime64
+		}
 	}
-	return h.Sum64()
+	return h
+}
+
+// fnvUint64 folds u's 8 little-endian bytes into the FNV-1a state h.
+//
+//sstore:nomalloc
+func fnvUint64(h, u uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h ^= u >> (8 * i) & 0xff
+		h *= fnvPrime64
+	}
+	return h
 }
 
 // numericHashBits canonicalizes a float for hashing: +0 and -0 compare
 // equal, so they must hash equal.
+//
+//sstore:nomalloc
 func numericHashBits(f float64) uint64 {
 	if f == 0 {
 		return 0
 	}
 	return math.Float64bits(f)
-}
-
-func writeUint64(h interface{ Write([]byte) (int, error) }, u uint64) {
-	var b [8]byte
-	for i := 0; i < 8; i++ {
-		b[i] = byte(u >> (8 * i))
-	}
-	h.Write(b[:])
 }
 
 // CoerceTo converts the value to the requested kind when a lossless or

@@ -130,6 +130,15 @@ func TestHashConsistentWithEqual(t *testing.T) {
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
 	}
+	for _, eq := range [][2]Value{
+		{NewFloat(0), NewFloat(math.Copysign(0, -1))},
+		{NewInt(0), NewFloat(math.Copysign(0, -1))},
+		{NewTimestamp(5), NewFloat(5)},
+	} {
+		if !eq[0].Equal(eq[1]) || eq[0].Hash() != eq[1].Hash() {
+			t.Errorf("%v and %v must compare and hash equal", eq[0], eq[1])
+		}
+	}
 	if NewText("a").Hash() == NewText("b").Hash() {
 		t.Error("distinct texts should rarely collide; got equal hashes for a/b")
 	}
