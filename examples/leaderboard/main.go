@@ -36,7 +36,7 @@ func main() {
 		_, err := eng.Query(0, stmt)
 		return err
 	}
-	if err := leaderboard.SetupSchema(engAdapter{eng}, cfg, seed); err != nil {
+	if err := leaderboard.SetupSchema(eng, cfg, seed); err != nil {
 		log.Fatal(err)
 	}
 	for _, sp := range leaderboard.Procs(cfg) {
@@ -91,13 +91,4 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("valid votes processed: %v of %d cast\n", res.Rows[0][0], *votes)
-}
-
-// engAdapter exposes the facade's DDL methods under the interface the
-// workload package expects.
-type engAdapter struct{ *sstore.Engine }
-
-func (a engAdapter) ExecDDL(ddl string) error { return a.Engine.ExecDDL(ddl) }
-func (a engAdapter) ExecDDLOwned(owner, ddl string) error {
-	return a.Engine.ExecDDLOwned(owner, ddl)
 }

@@ -158,7 +158,24 @@ func (e *Executor) InvalidatePlans() {
 	e.mu.Unlock()
 }
 
+// lowerName folds ASCII upper case for case-insensitive table keys.
+// Names are almost always lower case already (the parser folds
+// identifiers), and those come back unchanged without allocating: it
+// runs on every stream insert and trigger dispatch.
+//
+//sstore:nomalloc
 func lowerName(s string) string {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c >= 'A' && c <= 'Z' {
+			//lint:allow hotalloc -- only a name with upper-case bytes is copied
+			return foldUpper(s)
+		}
+	}
+	return s
+}
+
+// foldUpper returns s with ASCII upper case folded to lower case.
+func foldUpper(s string) string {
 	b := []byte(s)
 	for i, c := range b {
 		if c >= 'A' && c <= 'Z' {

@@ -26,8 +26,12 @@ type selectPlan struct {
 	// maintained, when non-nil, maps every aggregate call to a
 	// maintained window aggregate (§4.3): run() reads the stored
 	// accumulators instead of scanning, making trigger TEs O(1) in the
-	// window size. Parallel to agg.calls.
+	// window size (O(groups) when grouped). Parallel to agg.calls.
 	maintained []maintainedAggRef
+	// groupKeys are the GROUP BY column ordinals of a grouped
+	// maintained plan, whose accumulators are the window's per-key
+	// groups under exactly these keys; nil for the single global group.
+	groupKeys []int
 
 	items    []compiledExpr // projection (over input or agg scope)
 	colNames []string
@@ -76,6 +80,10 @@ type aggPlan struct {
 type maintainedAggRef struct {
 	fn  storage.AggFunc
 	col int
+	// slot is the aggregate's index among the grouped key set's calls
+	// (storage.WindowGroups.Call); registrations only append and
+	// invalidate cached plans, so it stays valid for the plan's life.
+	slot int
 }
 
 type orderKey struct {
@@ -303,16 +311,28 @@ func (p *selectPlan) compileAggregate(stmt *sql.Select, items []sql.SelectItem, 
 }
 
 // detectMaintained checks whether an aggregate plan can be served from
-// the base window's maintained aggregates: an ungrouped, unfiltered,
-// join-free aggregate over a window table whose every call is
-// registered as maintained. Registration invalidates plan caches, so a
-// compile-time check stays correct for the plan's lifetime.
+// the base window's maintained aggregates: an unfiltered, join-free
+// aggregate over a window table whose every call is registered as
+// maintained — ungrouped, or grouped by plain base-table columns under
+// exactly those keys (see groupKeyOrdinals and orderCoversKeys).
+// Registration invalidates plan caches, so a compile-time check stays
+// correct for the plan's lifetime.
 func (p *selectPlan) detectMaintained(stmt *sql.Select, base *storage.Table) {
 	if base.Kind() != storage.KindWindow || base.Window() == nil {
 		return
 	}
-	if p.probe != nil || p.filter != nil || len(p.joins) > 0 || len(p.agg.groupBy) > 0 {
+	if p.probe != nil || p.filter != nil || len(p.joins) > 0 {
 		return
+	}
+	var groups *storage.WindowGroups
+	keys, ok := groupKeyOrdinals(stmt, base)
+	if !ok {
+		return
+	}
+	if len(keys) > 0 {
+		if groups = base.GroupedAggregates(keys); groups == nil || !orderCoversKeys(stmt) {
+			return
+		}
 	}
 	refs := make([]maintainedAggRef, 0, len(p.agg.calls))
 	for _, c := range p.agg.calls {
@@ -332,22 +352,97 @@ func (p *selectPlan) detectMaintained(stmt *sql.Select, base *storage.Table) {
 			if len(c.Args) != 1 {
 				return
 			}
-			ref, ok := c.Args[0].(*sql.ColumnRef)
-			if !ok || (ref.Table != "" && lowerName(ref.Table) != lowerName(stmt.From.Alias)) {
-				return
-			}
-			ord, ok := base.Schema().Index(ref.Column)
+			ord, ok := baseColumn(c.Args[0], stmt, base)
 			if !ok {
 				return
 			}
 			col = ord
 		}
-		if !base.MaintainsAggregate(fn, col) {
+		ref := maintainedAggRef{fn: fn, col: col}
+		if groups != nil {
+			if ref.slot = groups.Call(fn, col); ref.slot < 0 {
+				return
+			}
+		} else if !base.MaintainsAggregate(fn, col) {
 			return
 		}
-		refs = append(refs, maintainedAggRef{fn: fn, col: col})
+		refs = append(refs, ref)
 	}
-	p.maintained = refs
+	p.maintained, p.groupKeys = refs, keys
+}
+
+// baseColumn resolves a plain column reference of the FROM table to
+// its ordinal.
+func baseColumn(e sql.Expr, stmt *sql.Select, base *storage.Table) (int, bool) {
+	ref, ok := e.(*sql.ColumnRef)
+	if !ok || (ref.Table != "" && lowerName(ref.Table) != lowerName(stmt.From.Alias)) {
+		return 0, false
+	}
+	return base.Schema().Index(ref.Column)
+}
+
+// groupKeyOrdinals returns the GROUP BY columns' ordinals; false when a
+// key is anything but a plain base-table column.
+func groupKeyOrdinals(stmt *sql.Select, base *storage.Table) ([]int, bool) {
+	if len(stmt.GroupBy) == 0 {
+		return nil, true
+	}
+	keys := make([]int, len(stmt.GroupBy))
+	for i, g := range stmt.GroupBy {
+		ord, ok := baseColumn(g, stmt, base)
+		if !ok {
+			return nil, false
+		}
+		keys[i] = ord
+	}
+	return keys, true
+}
+
+// orderCoversKeys reports whether ORDER BY names every GROUP BY key,
+// directly or through a select alias of the key column. Distinct groups
+// then never tie, so sorting the groups yields one order whatever order
+// they arrive in: the stored groups' internal order, let alone Go map
+// order, cannot reach a result, and the output equals the scan's.
+func orderCoversKeys(stmt *sql.Select) bool {
+	for _, g := range stmt.GroupBy {
+		key := g.(*sql.ColumnRef)
+		covered := false
+		for _, ob := range stmt.OrderBy {
+			if ref, ok := ob.Expr.(*sql.ColumnRef); ok && orderRefNamesKey(ref, key, stmt) {
+				covered = true
+				break
+			}
+		}
+		if !covered {
+			return false
+		}
+	}
+	return true
+}
+
+// orderRefNamesKey mirrors compileOrderKey's resolution: a name that
+// is a group key resolves to it first; otherwise a bare name may be a
+// select alias of that key column.
+func orderRefNamesKey(ref, key *sql.ColumnRef, stmt *sql.Select) bool {
+	if ref.Column == key.Column && (ref.Table == "" || key.Table == "" || ref.Table == key.Table) {
+		return true
+	}
+	if ref.Table != "" {
+		return false
+	}
+	for _, g := range stmt.GroupBy {
+		if g.(*sql.ColumnRef).Column == ref.Column {
+			return false // names another key
+		}
+	}
+	for _, it := range stmt.Items {
+		if it.Alias != ref.Column {
+			continue
+		}
+		col, ok := it.Expr.(*sql.ColumnRef)
+		return ok && col.Column == key.Column && (col.Table == "" || key.Table == "" || col.Table == key.Table)
+	}
+	return false
 }
 
 func itemName(it sql.SelectItem) string {
@@ -765,54 +860,51 @@ func (p *selectPlan) applyJoins(cat *storage.Catalog, env *evalEnv, step int, ro
 }
 
 // runMaintained serves an aggregate plan from the window's maintained
-// accumulators: no scan, one synthetic output row (the single global
-// group), then HAVING/projection/limit as usual. The read is O(1)
-// regardless of window size — the §4.3 point that window statistics
-// live in table metadata, now extended to the aggregates themselves.
+// accumulators instead of scanning: one synthetic row per group —
+// [key values..., aggregate values...], or just the aggregate values
+// for the single global group — fed through the same HAVING,
+// projection, ORDER BY and LIMIT tail as the scanning sink. The read
+// is O(1) in the window size, O(groups) when grouped: the §4.3 point
+// that window statistics live in table metadata, extended to the
+// aggregates themselves.
 func (p *selectPlan) runMaintained(base *storage.Table, params []types.Value) (*Result, error) {
-	synthetic := make(types.Row, 0, len(p.maintained))
-	for _, m := range p.maintained {
-		v, ok := base.MaintainedAggregate(m.fn, m.col)
-		if !ok {
-			return nil, fmt.Errorf("ee: window %s no longer maintains %s", base.Name(), m.fn)
-		}
-		synthetic = append(synthetic, v)
-	}
-	return p.serveMaintainedRow(synthetic, params)
-}
-
-// serveMaintainedRow applies HAVING/projection/limit to the single
-// global group's accumulator values — shared by live-table maintained
-// reads and the snapshot read path's pin-captured values.
-func (p *selectPlan) serveMaintainedRow(synthetic types.Row, params []types.Value) (*Result, error) {
-	res := &Result{Columns: append([]string(nil), p.colNames...)}
-	limit, err := p.resolveLimit(params)
+	out, err := p.newOutput(params)
 	if err != nil {
 		return nil, err
 	}
-	env := &evalEnv{params: params, row: synthetic}
-	if p.agg.having != nil {
-		ok, err := boolOf(p.agg.having, env)
-		if err != nil {
+	env := &evalEnv{params: params}
+	if p.groupKeys == nil {
+		synthetic := make(types.Row, len(p.maintained))
+		for i, m := range p.maintained {
+			v, ok := base.MaintainedAggregate(m.fn, m.col)
+			if !ok {
+				return nil, fmt.Errorf("ee: window %s no longer maintains %s", base.Name(), m.fn)
+			}
+			synthetic[i] = v
+		}
+		env.row = synthetic
+		if err := out.addGroup(env); err != nil {
 			return nil, err
 		}
-		if !ok {
-			return res, nil
+		return out.result()
+	}
+	groups := base.GroupedAggregates(p.groupKeys)
+	if groups == nil {
+		return nil, fmt.Errorf("ee: window %s no longer maintains grouped aggregates", base.Name())
+	}
+	nk := len(p.groupKeys)
+	synthetic := make(types.Row, nk+len(p.maintained))
+	env.row = synthetic
+	for i := 0; i < groups.Len(); i++ {
+		copy(synthetic, groups.Key(i))
+		for j, m := range p.maintained {
+			synthetic[nk+j] = groups.Value(i, m.slot)
 		}
-	}
-	if limit == 0 {
-		return res, nil
-	}
-	out := make(types.Row, len(p.items))
-	for i, item := range p.items {
-		v, err := item(env)
-		if err != nil {
+		if err := out.addGroup(env); err != nil {
 			return nil, err
 		}
-		out[i] = v
 	}
-	res.Rows = append(res.Rows, out)
-	return res, nil
+	return out.result()
 }
 
 // resolveLimit returns the effective LIMIT (-1 = none), reading the
@@ -832,66 +924,113 @@ func (p *selectPlan) resolveLimit(params []types.Value) (int, error) {
 	return limit, nil
 }
 
+// output is the tail every SELECT plan ends in: projection of each
+// accepted row, ORDER BY keys, then sort and LIMIT into the Result. It
+// never retains env.row, so callers may refill one scratch row.
+type output struct {
+	p     *selectPlan
+	limit int // -1 = none
+	rows  []sortable
+}
+
+type sortable struct {
+	row  types.Row
+	keys types.Row
+}
+
+func (p *selectPlan) newOutput(params []types.Value) (*output, error) {
+	limit, err := p.resolveLimit(params)
+	if err != nil {
+		return nil, err
+	}
+	return &output{p: p, limit: limit}, nil
+}
+
+// add projects env.row through the select items and evaluates its
+// ORDER BY keys.
+func (o *output) add(env *evalEnv) error {
+	p := o.p
+	out := make(types.Row, len(p.items))
+	for i, item := range p.items {
+		v, err := item(env)
+		if err != nil {
+			return err
+		}
+		out[i] = v
+	}
+	var keys types.Row
+	if len(p.orderBy) > 0 {
+		keys = make(types.Row, len(p.orderBy))
+		for i, ob := range p.orderBy {
+			v, err := ob.expr(env)
+			if err != nil {
+				return err
+			}
+			keys[i] = v
+		}
+	}
+	o.rows = append(o.rows, sortable{row: out, keys: keys})
+	return nil
+}
+
+// addGroup is add for one aggregate group's synthetic row (group key
+// values, then aggregate values), after HAVING.
+func (o *output) addGroup(env *evalEnv) error {
+	if h := o.p.agg.having; h != nil {
+		ok, err := boolOf(h, env)
+		if err != nil || !ok {
+			return err
+		}
+	}
+	return o.add(env)
+}
+
+// full reports whether an unordered plan has its LIMIT rows already:
+// rows arrive in their final order, so the scan can stop.
+func (o *output) full() bool {
+	return len(o.p.orderBy) == 0 && o.limit >= 0 && len(o.rows) >= o.limit
+}
+
+// result sorts, applies LIMIT and builds the Result.
+func (o *output) result() (*Result, error) {
+	rows := o.rows
+	if len(o.p.orderBy) > 0 {
+		if err := sortRows(rows, o.p.orderBy, func(s *sortable) types.Row { return s.keys }); err != nil {
+			return nil, err
+		}
+	}
+	if o.limit >= 0 && len(rows) > o.limit {
+		rows = rows[:o.limit]
+	}
+	res := &Result{Columns: append([]string(nil), o.p.colNames...)}
+	if len(rows) > 0 {
+		res.Rows = make([]types.Row, len(rows))
+		for i, r := range rows {
+			res.Rows[i] = r.row
+		}
+	}
+	return res, nil
+}
+
 // newSink builds the row consumer (projection or aggregation) and the
 // finisher that applies sort/limit and produces the Result.
 func (p *selectPlan) newSink(params []types.Value) (func(*evalEnv) error, func() (*Result, error), error) {
-	res := &Result{Columns: append([]string(nil), p.colNames...)}
-
-	limit, err := p.resolveLimit(params)
+	out, err := p.newOutput(params)
 	if err != nil {
 		return nil, nil, err
 	}
 
 	if p.agg == nil {
-		type sortable struct {
-			row  types.Row
-			keys types.Row
-		}
-		var rows []sortable
 		process := func(env *evalEnv) error {
-			out := make(types.Row, len(p.items))
-			for i, item := range p.items {
-				v, err := item(env)
-				if err != nil {
-					return err
-				}
-				out[i] = v
+			if err := out.add(env); err != nil {
+				return err
 			}
-			var keys types.Row
-			if len(p.orderBy) > 0 {
-				keys = make(types.Row, len(p.orderBy))
-				for i, ob := range p.orderBy {
-					v, err := ob.expr(env)
-					if err != nil {
-						return err
-					}
-					keys[i] = v
-				}
-			}
-			rows = append(rows, sortable{row: out, keys: keys})
-			// Fast-path limit without ORDER BY: rows arrive in scan
-			// order.
-			if len(p.orderBy) == 0 && limit >= 0 && len(rows) >= limit {
+			if out.full() {
 				return errLimitReached
 			}
 			return nil
 		}
-		finish := func() (*Result, error) {
-			if len(p.orderBy) > 0 {
-				ordErr := sortRows(rows, p.orderBy, func(s *sortable) types.Row { return s.keys })
-				if ordErr != nil {
-					return nil, ordErr
-				}
-			}
-			if limit >= 0 && len(rows) > limit {
-				rows = rows[:limit]
-			}
-			for _, r := range rows {
-				res.Rows = append(res.Rows, r.row)
-			}
-			return res, nil
-		}
-		return process, finish, nil
+		return process, out.result, nil
 	}
 
 	// Aggregation sink.
@@ -966,61 +1105,19 @@ func (p *selectPlan) newSink(params []types.Value) (func(*evalEnv) error, func()
 			}
 			order = append(order, g)
 		}
-		type sortable struct {
-			row  types.Row
-			keys types.Row
-		}
-		var rows []sortable
 		env := &evalEnv{params: params}
+		synthetic := make(types.Row, len(p.agg.groupBy)+len(p.agg.calls))
+		env.row = synthetic
 		for _, g := range order {
-			synthetic := make(types.Row, 0, len(g.key)+len(g.accs))
-			synthetic = append(synthetic, g.key...)
-			for _, acc := range g.accs {
-				synthetic = append(synthetic, acc.result())
+			n := copy(synthetic, g.key)
+			for i, acc := range g.accs {
+				synthetic[n+i] = acc.result()
 			}
-			env.row = synthetic
-			if p.agg.having != nil {
-				ok, err := boolOf(p.agg.having, env)
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					continue
-				}
-			}
-			out := make(types.Row, len(p.items))
-			for i, item := range p.items {
-				v, err := item(env)
-				if err != nil {
-					return nil, err
-				}
-				out[i] = v
-			}
-			var keys types.Row
-			if len(p.orderBy) > 0 {
-				keys = make(types.Row, len(p.orderBy))
-				for i, ob := range p.orderBy {
-					v, err := ob.expr(env)
-					if err != nil {
-						return nil, err
-					}
-					keys[i] = v
-				}
-			}
-			rows = append(rows, sortable{row: out, keys: keys})
-		}
-		if len(p.orderBy) > 0 {
-			if err := sortRows(rows, p.orderBy, func(s *sortable) types.Row { return s.keys }); err != nil {
+			if err := out.addGroup(env); err != nil {
 				return nil, err
 			}
 		}
-		if limit >= 0 && len(rows) > limit {
-			rows = rows[:limit]
-		}
-		for _, r := range rows {
-			res.Rows = append(res.Rows, r.row)
-		}
-		return res, nil
+		return out.result()
 	}
 	return process, finish, nil
 }

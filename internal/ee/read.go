@@ -68,6 +68,11 @@ func CompileReadOnly(text string, cat *storage.Catalog) (*ReadPlan, error) {
 	if err != nil {
 		return nil, err
 	}
+	if plan.groupKeys != nil {
+		// A pinned view captures scalar accumulators only; its grouped
+		// reads scan the view's resolved window instead.
+		plan.maintained, plan.groupKeys = nil, nil
+	}
 	rp := &ReadPlan{sel: plan}
 	seen := map[string]bool{}
 	add := func(name string) {
@@ -144,5 +149,12 @@ func (p *ReadPlan) RunMaintained(vals []types.Value, params []types.Value) (*Res
 	if len(vals) != len(p.sel.maintained) {
 		return nil, fmt.Errorf("ee: maintained plan wants %d values, got %d", len(p.sel.maintained), len(vals))
 	}
-	return p.sel.serveMaintainedRow(types.Row(vals), params)
+	out, err := p.sel.newOutput(params)
+	if err != nil {
+		return nil, err
+	}
+	if err := out.addGroup(&evalEnv{params: params, row: types.Row(vals)}); err != nil {
+		return nil, err
+	}
+	return out.result()
 }

@@ -103,11 +103,14 @@ var streamDDL = []string{
 type Engine interface {
 	ExecDDL(ddl string) error
 	ExecDDLOwned(owner, ddl string) error
+	MaintainWindowAggregate(table, fn, column string, groupBy ...string) error
 }
 
 // SetupSchema creates tables, streams, the trending window (owned by
-// SPMaintain), and seeds contestants and the counter. populate runs a
-// statement on every partition.
+// SPMaintain) with COUNT(*) maintained per contestant — so the trending
+// board reads per-contestant counts instead of re-grouping the window
+// on every vote (§4.3) — and seeds contestants and the counter. seed
+// runs a statement on every partition.
 func SetupSchema(eng Engine, cfg Config, seed func(stmt string) error) error {
 	return setupSchema(eng, cfg, seed, true)
 }
@@ -134,6 +137,9 @@ func setupSchema(eng Engine, cfg Config, seed func(stmt string) error, phoneInde
 		cfg.TrendingWindow, cfg.TrendingSlide,
 	)
 	if err := eng.ExecDDLOwned(SPMaintain, win); err != nil {
+		return err
+	}
+	if err := eng.MaintainWindowAggregate("trending", "count", "*", "contestant_id"); err != nil {
 		return err
 	}
 	for i := 1; i <= cfg.Contestants; i++ {

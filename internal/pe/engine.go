@@ -432,9 +432,13 @@ func (e *Engine) AddEETrigger(table string, stmts ...string) error {
 // on a window table, on every partition. Aggregate queries over the
 // window that match a maintained aggregate read the stored accumulator
 // instead of scanning, so trigger TEs stay O(1) in the window size
-// (§4.3). Like DDL, registration is part of application setup and must
-// be re-issued at boot before recovery loads a snapshot.
-func (e *Engine) MaintainWindowAggregate(table, fn, column string) error {
+// (§4.3). With groupBy columns the aggregate (count, or sum over a
+// BIGINT column) is kept per key, and GROUP BY queries over exactly
+// those keys whose ORDER BY names every key read the groups: O(groups)
+// instead of a scan. Like DDL, registration is part of application
+// setup and must be re-issued at boot before recovery loads a
+// snapshot.
+func (e *Engine) MaintainWindowAggregate(table, fn, column string, groupBy ...string) error {
 	f, err := storage.ParseAggFunc(fn)
 	if err != nil {
 		return err
@@ -455,7 +459,15 @@ func (e *Engine) MaintainWindowAggregate(table, fn, column string) error {
 				}
 				col = ord
 			}
-			if err := t.MaintainAggregate(f, col); err != nil {
+			keys := make([]int, len(groupBy))
+			for i, name := range groupBy {
+				ord, ok := t.Schema().Index(name)
+				if !ok {
+					return fmt.Errorf("pe: table %s has no column %s", table, name)
+				}
+				keys[i] = ord
+			}
+			if err := t.MaintainAggregate(f, col, keys...); err != nil {
 				return err
 			}
 			// Cached plans compiled before registration still scan;

@@ -70,7 +70,8 @@ type WindowState struct {
 	maxTSSet     bool
 	timeDisorder bool
 
-	aggs []*WindowAggregate // maintained aggregates, registration order
+	aggs    []*WindowAggregate // maintained aggregates, registration order
+	grouped []*WindowGroups    // maintained per-key aggregates, one per key set
 }
 
 // StagedCount returns the number of staged (invisible) tuples.
@@ -81,10 +82,12 @@ func (w *WindowState) Slides() uint64 { return w.slides }
 
 // Mark captures the scalar window bookkeeping (everything except the
 // rows themselves, which physical undo restores) so a transaction abort
-// can reset it. Maintained-aggregate accumulators are part of the
-// capture: they are small value types, so copying them is O(#aggs) and
-// an abort restores aggregate state exactly — including float sums,
+// can reset it. Scalar maintained-aggregate accumulators are part of
+// the capture: they are small value types, so copying them is O(#aggs)
+// and an abort restores aggregate state exactly — including float sums,
 // which physical undo replay alone cannot guarantee bit-for-bit.
+// Grouped accumulators are not captured: they hold only exact integer
+// deltas, so physical undo alone restores them.
 type WindowMark struct {
 	filled       bool
 	start        int64

@@ -204,27 +204,30 @@ func (a *WindowAggregate) result() types.Value {
 }
 
 // MaintainAggregate registers an incrementally maintained aggregate on
-// a window table, initializing it from the currently active rows.
-// Registering the same (function, column) twice is a no-op. Like DDL,
-// registration is not transactional and is re-issued at boot; only the
-// accumulator state is checkpointed.
-func (t *Table) MaintainAggregate(fn AggFunc, col int) error {
+// a window table, initializing it from the currently active rows. With
+// groupBy column ordinals it is maintained per key instead (COUNT and
+// BIGINT SUM only; see WindowGroups). Registering the same (function,
+// column, keys) twice is a no-op. Like DDL, registration is not
+// transactional and is re-issued at boot; only scalar accumulator
+// state is checkpointed.
+func (t *Table) MaintainAggregate(fn AggFunc, col int, groupBy ...int) error {
 	if t.window == nil {
 		return fmt.Errorf("storage: %s is not a window table", t.name)
+	}
+	if col != AggStar && (col < 0 || col >= t.schema.Len()) {
+		return fmt.Errorf("storage: window %s aggregate column %d out of range", t.name, col)
+	}
+	if len(groupBy) > 0 {
+		return t.maintainGrouped(fn, col, groupBy)
 	}
 	if col == AggStar {
 		if fn != AggCount {
 			return fmt.Errorf("storage: %s(*) is not maintainable, only COUNT(*)", fn)
 		}
-	} else {
-		if col < 0 || col >= t.schema.Len() {
-			return fmt.Errorf("storage: window %s aggregate column %d out of range", t.name, col)
-		}
-		if fn == AggSum || fn == AggAvg {
-			k := t.schema.Column(col).Kind
-			if k != types.KindInt && k != types.KindFloat {
-				return fmt.Errorf("storage: %s over non-numeric column %s", fn, t.schema.Column(col).Name)
-			}
+	} else if fn == AggSum || fn == AggAvg {
+		k := t.schema.Column(col).Kind
+		if k != types.KindInt && k != types.KindFloat {
+			return fmt.Errorf("storage: %s over non-numeric column %s", fn, t.schema.Column(col).Name)
 		}
 	}
 	if t.findAggregate(fn, col) != nil {
@@ -301,18 +304,24 @@ func (t *Table) MaintainedAggregates() []*WindowAggregate {
 }
 
 // windowAggAdd folds a row entering the visible window into every
-// maintained aggregate.
+// maintained aggregate, scalar and grouped.
 func (t *Table) windowAggAdd(row types.Row) {
 	for _, a := range t.window.aggs {
 		a.add(row)
 	}
+	for _, g := range t.window.grouped {
+		g.add(row)
+	}
 }
 
 // windowAggRemove folds a row leaving the visible window out of every
-// maintained aggregate.
+// maintained aggregate, scalar and grouped.
 func (t *Table) windowAggRemove(row types.Row) {
 	for _, a := range t.window.aggs {
 		a.remove(row)
+	}
+	for _, g := range t.window.grouped {
+		g.remove(row)
 	}
 }
 
@@ -328,13 +337,20 @@ func (t *Table) windowAggUpdate(oldRow, newRow types.Row) {
 		a.remove(oldRow)
 		a.add(newRow)
 	}
+	for _, g := range t.window.grouped {
+		g.update(oldRow, newRow)
+	}
 }
 
-// resetAggregates zeroes every accumulator (Truncate); registrations
-// survive, mirroring how schema survives a truncate.
+// resetAggregates zeroes every accumulator and drops every group
+// (Truncate); registrations survive, mirroring how schema survives a
+// truncate.
 func (w *WindowState) resetAggregates() {
 	for _, a := range w.aggs {
 		isFloat := a.state.isFloat
 		a.state = aggState{isFloat: isFloat, best: types.Null}
+	}
+	for _, g := range w.grouped {
+		g.reset()
 	}
 }

@@ -82,12 +82,14 @@ func TestDecodeRowAppendMatchesDecodeRow(t *testing.T) {
 //sstore:allocgate Value.Compare
 //sstore:allocgate Value.IsNumeric
 //sstore:allocgate Value.Float
+//sstore:allocgate Value.IsNull
+//sstore:allocgate Value.Int
 func TestValueHashAllocFree(t *testing.T) {
 	i, f, s := NewInt(-42), NewFloat(2.5), NewText("contestant")
 	var sink uint64
 	if n := testing.AllocsPerRun(1000, func() {
 		sink += i.Hash() + s.Hash()
-		if !i.Equal(NewInt(-42)) || !f.Equal(NewFloat(2.5)) || s.Equal(NewText("x")) || i.Float() != -42 {
+		if !i.Equal(NewInt(-42)) || !f.Equal(NewFloat(2.5)) || s.Equal(NewText("x")) || i.Float() != -42 || i.IsNull() || i.Int() != -42 {
 			t.Fatal("comparison broke")
 		}
 	}); n != 0 {

@@ -110,12 +110,17 @@ func NewTimestamp(micros int64) Value { return Value{kind: KindTimestamp, i: mic
 func (v Value) Kind() Kind { return v.kind }
 
 // IsNull reports whether the value is SQL NULL.
+//
+//sstore:nomalloc
 func (v Value) IsNull() bool { return v.kind == KindNull }
 
 // Int returns the integer payload. It panics if the value is not an
 // integer or timestamp.
+//
+//sstore:nomalloc
 func (v Value) Int() int64 {
 	if v.kind != KindInt && v.kind != KindTimestamp {
+		//lint:allow hotalloc -- panic message for a caller's type error; never on a valid path
 		panic(fmt.Sprintf("types: Int() on %s value", v.kind))
 	}
 	return v.i

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -91,44 +92,71 @@ func TestTornTailIgnored(t *testing.T) {
 	}
 }
 
+// TestGroupCommitReleasesWaiters: records appended while an fsync is
+// in flight are made durable together by the next one, and every
+// waiting appender is released. The first sync is held open until all
+// ten records are appended, so the grouping is enforced rather than
+// left to how the appenders happen to be scheduled: exactly two syncs
+// cover the ten appends, and a logger that syncs per append fails.
 func TestGroupCommitReleasesWaiters(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cmd.log")
 	l, err := Open(Options{Path: path, Policy: SyncGroup})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Release the appenders together: whatever arrives while the first
-	// fsync runs is synced as one group by the next.
-	start := make(chan struct{})
-	done := make(chan error, 10)
-	for i := 0; i < 10; i++ {
-		go func(i int64) {
-			<-start
-			_, err := l.Append(testRecord(KindOLTP, "G", i))
-			done <- err
-		}(int64(i))
+	entered, release := make(chan struct{}), make(chan struct{})
+	var first sync.Once
+	l.syncFile = func(f *os.File) error {
+		first.Do(func() {
+			close(entered)
+			<-release
+		})
+		return f.Sync()
 	}
-	close(start)
-	for i := 0; i < 10; i++ {
+	const n = 10
+	done := make(chan error, n)
+	appendOne := func(i int64) {
+		_, err := l.Append(testRecord(KindOLTP, "G", i))
+		done <- err
+	}
+	go appendOne(0)
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the first append never reached a sync")
+	}
+	for i := int64(1); i < n; i++ {
+		go appendOne(i)
+	}
+	// Wait for every record to be in the log while the first sync is
+	// still held.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if appends, _ := l.Stats(); appends == n {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("appenders did not all append while the first sync was in flight")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	for i := 0; i < n; i++ {
 		select {
 		case err := <-done:
 			if err != nil {
 				t.Fatal(err)
 			}
-		case <-time.After(2 * time.Second):
+		case <-time.After(5 * time.Second):
 			t.Fatal("group commit did not release waiters")
 		}
 	}
-	appends, syncs := l.Stats()
-	if appends != 10 {
-		t.Errorf("appends = %d", appends)
-	}
-	if syncs >= appends {
-		t.Errorf("group commit should batch: %d syncs for %d appends", syncs, appends)
+	if appends, syncs := l.Stats(); appends != n || syncs != 2 {
+		t.Errorf("group commit should batch: %d syncs for %d appends, want 2 (the held sync, then one for the nine that arrived during it)", syncs, appends)
 	}
 	l.Close()
 	recs, _ := ReadAll(path)
-	if len(recs) != 10 {
+	if len(recs) != n {
 		t.Errorf("records = %d", len(recs))
 	}
 }

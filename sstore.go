@@ -245,10 +245,12 @@ func (e *Engine) AddEETrigger(table string, stmts ...string) error {
 // MaintainWindowAggregate registers an incrementally maintained
 // aggregate (count/sum/avg/min/max) over a window table's column ("*"
 // for COUNT(*)): matching aggregate queries read the stored value
-// instead of scanning the window. Re-issue at boot before Recover,
+// instead of scanning the window. With groupBy columns, count or
+// BIGINT sum is kept per key and serves GROUP BY queries over exactly
+// those keys that ORDER BY every key. Re-issue at boot before Recover,
 // like DDL.
-func (e *Engine) MaintainWindowAggregate(table, fn, column string) error {
-	return e.pe.MaintainWindowAggregate(table, fn, column)
+func (e *Engine) MaintainWindowAggregate(table, fn, column string, groupBy ...string) error {
+	return e.pe.MaintainWindowAggregate(table, fn, column, groupBy...)
 }
 
 // DeployWorkflow wires a workflow's edges into partition-engine
