@@ -40,7 +40,7 @@ func main() {
 		log.Fatal(err)
 	}
 	for _, sp := range leaderboard.Procs(cfg) {
-		if err := eng.RegisterProc(sp.Name, sp.Func); err != nil {
+		if err := eng.RegisterProc(sp.Name, sp.Func, sp.Stmts...); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -7,68 +7,125 @@ import (
 	"sstore/internal/types"
 )
 
+// aggKind selects an aggregator's function.
+type aggKind uint8
+
+const (
+	aggCount aggKind = iota
+	aggCountDistinct
+	aggSum
+	aggAvg
+	aggMin
+	aggMax
+)
+
 // aggregator accumulates one aggregate function over the rows of one
-// group.
-type aggregator interface {
-	add(v types.Value) error
-	result() types.Value
+// group. It is a plain struct, not an interface value, so a statement's
+// scratch can re-arm its groups' accumulators run after run without
+// allocating (COUNT(DISTINCT) keeps its cleared set).
+type aggregator struct {
+	kind aggKind
+	n    int64 // COUNT, COUNT(DISTINCT), AVG's divisor
+	sum  sumAgg
+	best types.Value // MIN/MAX
+	any  bool        // MIN/MAX saw a non-null value
+	seen map[uint64][]types.Value
 }
 
-// newAggregator builds an accumulator for the named aggregate.
-func newAggregator(call *sql.FuncCall) (aggregator, error) {
+// aggKindOf maps an aggregate call to its function.
+func aggKindOf(call *sql.FuncCall) (aggKind, error) {
 	switch call.Name {
 	case "count":
 		if call.Distinct {
-			return &countDistinctAgg{seen: make(map[uint64][]types.Value)}, nil
+			return aggCountDistinct, nil
 		}
-		return &countAgg{}, nil
+		return aggCount, nil
 	case "sum":
-		return &sumAgg{}, nil
+		return aggSum, nil
 	case "avg":
-		return &avgAgg{}, nil
+		return aggAvg, nil
 	case "min":
-		return &minMaxAgg{min: true}, nil
+		return aggMin, nil
 	case "max":
-		return &minMaxAgg{}, nil
+		return aggMax, nil
 	default:
-		return nil, fmt.Errorf("ee: unknown aggregate %s", call.Name)
+		return 0, fmt.Errorf("ee: unknown aggregate %s", call.Name)
 	}
 }
 
-// countAgg implements COUNT(x) and COUNT(*). NULLs are skipped for
-// COUNT(x); the caller feeds a non-null marker for COUNT(*).
-type countAgg struct{ n int64 }
-
-func (a *countAgg) add(v types.Value) error {
-	if !v.IsNull() {
-		a.n++
+// reset re-arms the accumulator for a new group of the given kind.
+func (a *aggregator) reset(kind aggKind) {
+	seen := a.seen
+	if kind == aggCountDistinct {
+		if seen == nil {
+			seen = make(map[uint64][]types.Value)
+		} else {
+			clear(seen)
+		}
 	}
-	return nil
-}
-func (a *countAgg) result() types.Value { return types.NewInt(a.n) }
-
-// countDistinctAgg implements COUNT(DISTINCT x) with hash buckets and
-// exact-equality chains.
-type countDistinctAgg struct {
-	seen map[uint64][]types.Value
-	n    int64
+	*a = aggregator{kind: kind, seen: seen}
 }
 
-func (a *countDistinctAgg) add(v types.Value) error {
+// add folds one input value. NULLs are skipped by every function;
+// the caller feeds a non-null marker for COUNT(*).
+func (a *aggregator) add(v types.Value) error {
 	if v.IsNull() {
 		return nil
 	}
-	h := v.Hash()
-	for _, prev := range a.seen[h] {
-		if prev.Equal(v) {
+	switch a.kind {
+	case aggCount:
+		a.n++
+	case aggCountDistinct:
+		h := v.Hash()
+		for _, prev := range a.seen[h] {
+			if prev.Equal(v) {
+				return nil
+			}
+		}
+		a.seen[h] = append(a.seen[h], v)
+		a.n++
+	case aggSum:
+		return a.sum.add(v)
+	case aggAvg:
+		if err := a.sum.add(v); err != nil {
+			return fmt.Errorf("ee: AVG: %w", err)
+		}
+		a.n++
+	case aggMin, aggMax:
+		if !a.any {
+			a.best, a.any = v, true
 			return nil
 		}
+		c, err := v.Compare(a.best)
+		if err != nil {
+			return fmt.Errorf("ee: MIN/MAX: %w", err)
+		}
+		if (a.kind == aggMin && c < 0) || (a.kind == aggMax && c > 0) {
+			a.best = v
+		}
 	}
-	a.seen[h] = append(a.seen[h], v)
-	a.n++
 	return nil
 }
-func (a *countDistinctAgg) result() types.Value { return types.NewInt(a.n) }
+
+// result returns the aggregate's value over the values added so far.
+func (a *aggregator) result() types.Value {
+	switch a.kind {
+	case aggCount, aggCountDistinct:
+		return types.NewInt(a.n)
+	case aggSum:
+		return a.sum.result()
+	case aggAvg:
+		if a.n == 0 {
+			return types.Null
+		}
+		return types.NewFloat(a.sum.result().Float() / float64(a.n))
+	default:
+		if !a.any {
+			return types.Null
+		}
+		return a.best
+	}
+}
 
 // sumAgg sums ints exactly and floats in float64; mixing promotes to
 // float.
@@ -80,9 +137,6 @@ type sumAgg struct {
 }
 
 func (a *sumAgg) add(v types.Value) error {
-	if v.IsNull() {
-		return nil
-	}
 	if !v.IsNumeric() {
 		return fmt.Errorf("ee: SUM of %s", v.Kind())
 	}
@@ -107,62 +161,6 @@ func (a *sumAgg) result() types.Value {
 		return types.NewFloat(a.f)
 	}
 	return types.NewInt(a.i)
-}
-
-// avgAgg averages numerics, always returning a float.
-type avgAgg struct {
-	sum sumAgg
-	n   int64
-}
-
-func (a *avgAgg) add(v types.Value) error {
-	if v.IsNull() {
-		return nil
-	}
-	if err := a.sum.add(v); err != nil {
-		return fmt.Errorf("ee: AVG: %w", err)
-	}
-	a.n++
-	return nil
-}
-
-func (a *avgAgg) result() types.Value {
-	if a.n == 0 {
-		return types.Null
-	}
-	return types.NewFloat(a.sum.result().Float() / float64(a.n))
-}
-
-// minMaxAgg tracks the extremum under Value.Compare.
-type minMaxAgg struct {
-	min  bool
-	best types.Value
-	any  bool
-}
-
-func (a *minMaxAgg) add(v types.Value) error {
-	if v.IsNull() {
-		return nil
-	}
-	if !a.any {
-		a.best, a.any = v, true
-		return nil
-	}
-	c, err := v.Compare(a.best)
-	if err != nil {
-		return fmt.Errorf("ee: MIN/MAX: %w", err)
-	}
-	if (a.min && c < 0) || (!a.min && c > 0) {
-		a.best = v
-	}
-	return nil
-}
-
-func (a *minMaxAgg) result() types.Value {
-	if !a.any {
-		return types.Null
-	}
-	return a.best
 }
 
 // collectAggregates walks an expression tree appending every aggregate

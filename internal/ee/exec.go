@@ -3,6 +3,7 @@ package ee
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"sstore/internal/index"
 	"sstore/internal/sql"
@@ -65,6 +66,9 @@ type ExecCtx struct {
 	// Appends accumulates stream appends for PE-trigger dispatch.
 	Appends []StreamAppend
 	depth   int
+	// claims are the statements whose scratch this execution holds
+	// until Reset (see prepared.claim).
+	claims []*prepared
 }
 
 func (ctx *ExecCtx) undo() storage.Undo {
@@ -75,10 +79,13 @@ func (ctx *ExecCtx) undo() storage.Undo {
 }
 
 // Reset re-arms a recycled context for a new transaction execution,
-// keeping the appends buffer's capacity. The partition engine pools
-// contexts per partition so steady-state TEs allocate none.
+// keeping the appends buffer's capacity, and releases the statement
+// scratch the previous execution claimed: results of its Exec runs are
+// invalid from here on. The partition engine pools contexts per
+// partition so steady-state TEs allocate none.
 func (ctx *ExecCtx) Reset(sp string, batchID int64, tx TxnState, allowed *AccessSet) {
-	*ctx = ExecCtx{SP: sp, BatchID: batchID, Txn: tx, Allowed: allowed, Appends: ctx.Appends[:0]}
+	ctx.releaseClaims()
+	*ctx = ExecCtx{SP: sp, BatchID: batchID, Txn: tx, Allowed: allowed, Appends: ctx.Appends[:0], claims: ctx.claims}
 }
 
 // Trigger is an EE trigger (§3.2.3): SQL statements attached to a
@@ -94,8 +101,9 @@ type Trigger struct {
 
 // Executor runs SQL statements against one partition's catalog.
 // Statement execution runs on the partition's goroutine or, for
-// non-conflicting transactions, on its worker pool; the plan cache is
-// the one piece of state those goroutines share, guarded by mu.
+// non-conflicting transactions, on its worker pool; those goroutines
+// share the plan cache, guarded by mu, and each compiled statement's
+// scratch, which one execution at a time claims (prepared.claim).
 // Triggers and peConsumed are registered at setup time and read-only
 // afterwards.
 type Executor struct {
@@ -103,8 +111,11 @@ type Executor struct {
 	// mu guards plans: worker goroutines executing a parallel wave
 	// prepare statements concurrently. Compilation happens outside
 	// the lock; the critical sections are map operations only.
-	mu         sync.RWMutex
-	plans      map[string]*prepared
+	mu    sync.RWMutex
+	plans map[string]*prepared
+	// declared are the statements stored procedures declared; mu
+	// guards the list, and InvalidatePlans recompiles each.
+	declared   []*Stmt
 	triggers   map[string][]*Trigger
 	peConsumed map[string]bool // streams consumed by PE triggers: no EE-level GC
 }
@@ -151,11 +162,36 @@ func (e *Executor) SetPEConsumed(table string) {
 	e.peConsumed[lowerName(table)] = true
 }
 
-// InvalidatePlans drops the plan cache; call after DDL.
+// InvalidatePlans drops the plan cache and recompiles every declared
+// statement against the current catalog; call after DDL or a
+// maintained-aggregate registration, on the partition's goroutine
+// while no transaction execution runs.
 func (e *Executor) InvalidatePlans() {
 	e.mu.Lock()
 	e.plans = make(map[string]*prepared)
+	declared := e.declared
 	e.mu.Unlock()
+	for _, s := range declared {
+		s.p, s.err = e.Prepare(s.text)
+	}
+}
+
+// Declare compiles a stored procedure's statement once (sharing the
+// plan cache's entry) and keeps it current across InvalidatePlans. DDL
+// cannot be declared.
+func (e *Executor) Declare(text string) (*Stmt, error) {
+	p, err := e.Prepare(text)
+	if err != nil {
+		return nil, err
+	}
+	if p.ddl != nil {
+		return nil, fmt.Errorf("ee: declared statement %q is DDL", text)
+	}
+	s := &Stmt{text: text, p: p}
+	e.mu.Lock()
+	e.declared = append(e.declared, s)
+	e.mu.Unlock()
+	return s, nil
 }
 
 // lowerName folds ASCII upper case for case-insensitive table keys.
@@ -185,7 +221,7 @@ func foldUpper(s string) string {
 	return string(b)
 }
 
-// prepared is a compiled statement.
+// prepared is a compiled statement and its scratch.
 type prepared struct {
 	sel *selectPlan
 	ins *insertPlan
@@ -195,14 +231,26 @@ type prepared struct {
 	// access is the statement's table-granularity read/write
 	// footprint, emitted at compile time; nil for DDL (unbounded).
 	access *AccessSet
+	// tables are the plan's tables resolved in the executor's catalog
+	// at compile time, so a run looks none up: the target or base
+	// table first, then an INSERT … SELECT's base table, then each
+	// join's inner table. SQL only ever creates tables, and DDL
+	// recompiles, so the pointers stay current for the plan's life.
+	tables []*storage.Table
+
+	// owner is the transaction execution holding sc (nil: free);
+	// scoped marks a claim that ends with the current run. See claim.
+	owner  atomic.Pointer[ExecCtx]
+	scoped bool
+	sc     scratch
 }
 
 type insertPlan struct {
-	table    string
-	colMap   []int // target ordinal for each value position
-	rows     [][]compiledExpr
-	query    *selectPlan
-	querySel *sql.Select
+	table  string
+	key    string // lower-cased table name: the stream append's key
+	colMap []int  // target ordinal for each value position
+	rows   [][]compiledExpr
+	query  *selectPlan
 }
 
 type updatePlan struct {
@@ -286,6 +334,35 @@ func selTables(p *selectPlan) []string {
 }
 
 func (e *Executor) compile(stmt sql.Statement) (*prepared, error) {
+	p, err := e.compilePlan(stmt)
+	if err != nil {
+		return nil, err
+	}
+	var names []string
+	switch {
+	case p.sel != nil:
+		names = selTables(p.sel)
+	case p.ins != nil:
+		names = []string{p.ins.table}
+		if p.ins.query != nil {
+			names = append(names, selTables(p.ins.query)...)
+		}
+	case p.upd != nil:
+		names = []string{p.upd.table}
+	case p.del != nil:
+		names = []string{p.del.table}
+	}
+	for _, n := range names {
+		t, err := e.cat.Get(n)
+		if err != nil {
+			return nil, err
+		}
+		p.tables = append(p.tables, t)
+	}
+	return p, nil
+}
+
+func (e *Executor) compilePlan(stmt sql.Statement) (*prepared, error) {
 	switch s := stmt.(type) {
 	case *sql.Select:
 		plan, err := compileSelect(s, e.cat)
@@ -330,7 +407,7 @@ func (e *Executor) compileInsert(s *sql.Insert) (*insertPlan, error) {
 		return nil, err
 	}
 	schema := t.Schema()
-	plan := &insertPlan{table: s.Table}
+	plan := &insertPlan{table: s.Table, key: lowerName(s.Table)}
 	if len(s.Columns) > 0 {
 		plan.colMap = make([]int, len(s.Columns))
 		for i, c := range s.Columns {
@@ -354,7 +431,6 @@ func (e *Executor) compileInsert(s *sql.Insert) (*insertPlan, error) {
 			return nil, fmt.Errorf("ee: INSERT SELECT arity %d, target %d", len(qp.colNames), width)
 		}
 		plan.query = qp
-		plan.querySel = s.Query
 		return plan, nil
 	}
 	for _, row := range s.Rows {
@@ -439,45 +515,91 @@ func (e *Executor) compileDelete(s *sql.Delete) (*deletePlan, error) {
 }
 
 // Execute runs one SQL statement with parameters under the given
-// execution context.
+// execution context. The statement is compiled once into the plan
+// cache and runs like a declared one; its result is then copied into
+// fresh memory, so the caller may retain it.
 func (e *Executor) Execute(text string, params []types.Value, ctx *ExecCtx) (*Result, error) {
 	p, err := e.Prepare(text)
 	if err != nil {
 		return nil, err
 	}
-	return e.run(p, params, ctx)
+	sc := p.claim(ctx, false)
+	res, err := e.run(p, sc, params, ctx)
+	if err == nil {
+		res = res.clone()
+	}
+	if sc != nil {
+		p.done()
+	}
+	return res, err
 }
 
-func (e *Executor) run(p *prepared, params []types.Value, ctx *ExecCtx) (*Result, error) {
+// Exec runs a declared statement under the given execution context.
+// The result lives in the statement's scratch: it is valid until the
+// same statement's next run in this execution, or until ctx is Reset,
+// whichever comes first. Callers copy what they keep longer.
+func (e *Executor) Exec(s *Stmt, params []types.Value, ctx *ExecCtx) (*Result, error) {
+	if s.err != nil {
+		return nil, s.err
+	}
+	p := s.p
+	sc := p.claim(ctx, true)
+	res, err := e.run(p, sc, params, ctx)
+	if sc != nil {
+		p.done()
+	}
+	return res, err
+}
+
+// execTrigger runs an EE trigger's statement, whose result nobody
+// reads.
+func (e *Executor) execTrigger(text string, params []types.Value, ctx *ExecCtx) error {
+	p, err := e.Prepare(text)
+	if err != nil {
+		return err
+	}
+	sc := p.claim(ctx, false)
+	_, err = e.run(p, sc, params, ctx)
+	if sc != nil {
+		p.done()
+	}
+	return err
+}
+
+// run executes p once on sc, or on fresh scratch when sc is nil (the
+// statement's own is held by another execution, or mid-run).
+func (e *Executor) run(p *prepared, sc *scratch, params []types.Value, ctx *ExecCtx) (*Result, error) {
 	// Declared-access enforcement: every statement — the body's and any
-	// EE trigger's, which recurses through Execute with the same ctx —
-	// must stay inside the procedure's declared footprint. The check
-	// runs before the statement touches any table, so a wrong
+	// EE trigger's, which recurses through execTrigger with the same
+	// ctx — must stay inside the procedure's declared footprint. The
+	// check runs before the statement touches any table, so a wrong
 	// declaration aborts the TE instead of racing a concurrent one.
 	if ctx.Allowed != nil {
 		if err := ctx.Allowed.Check(p.access); err != nil {
 			return nil, err
 		}
 	}
+	if p.ddl != nil {
+		return e.runDDL(p.ddl, ctx)
+	}
+	if sc == nil {
+		sc = new(scratch)
+	}
+	sc.setParams(params)
 	switch {
 	case p.sel != nil:
-		if err := e.checkWindowAccess(p.sel.baseTable, ctx); err != nil {
-			return nil, err
-		}
-		for _, j := range p.sel.joins {
-			if err := e.checkWindowAccess(j.table, ctx); err != nil {
+		for _, t := range p.tables {
+			if err := checkWindowAccess(t, ctx); err != nil {
 				return nil, err
 			}
 		}
-		return p.sel.run(e.cat, params)
+		return p.sel.run(p.tables, &sc.sel, &sc.env)
 	case p.ins != nil:
-		return e.runInsert(p.ins, params, ctx)
+		return e.runInsert(p, sc, ctx)
 	case p.upd != nil:
-		return e.runUpdate(p.upd, params, ctx)
+		return e.runUpdate(p, sc, ctx)
 	case p.del != nil:
-		return e.runDelete(p.del, params, ctx)
-	case p.ddl != nil:
-		return e.runDDL(p.ddl, ctx)
+		return e.runDelete(p, sc, ctx)
 	default:
 		return nil, fmt.Errorf("ee: empty plan")
 	}
@@ -486,99 +608,106 @@ func (e *Executor) run(p *prepared, params []types.Value, ctx *ExecCtx) (*Result
 // checkWindowAccess enforces the paper's window scoping rule (§3.2.2):
 // a window table is only visible to transaction executions of its
 // owning stored procedure.
-func (e *Executor) checkWindowAccess(table string, ctx *ExecCtx) error {
-	t, err := e.cat.Get(table)
-	if err != nil {
-		return err
-	}
+func checkWindowAccess(t *storage.Table, ctx *ExecCtx) error {
 	if t.Kind() == storage.KindWindow && t.OwnerSP != "" && t.OwnerSP != ctx.SP {
-		return fmt.Errorf("ee: window %s is private to stored procedure %s (accessed from %q)", table, t.OwnerSP, ctx.SP)
+		return fmt.Errorf("ee: window %s is private to stored procedure %s (accessed from %q)", t.Name(), t.OwnerSP, ctx.SP)
 	}
 	return nil
 }
 
-func (e *Executor) runInsert(p *insertPlan, params []types.Value, ctx *ExecCtx) (*Result, error) {
-	if err := e.checkWindowAccess(p.table, ctx); err != nil {
+// runInsert evaluates every row first, then inserts them. Each row the
+// table receives is allocated for it — the table keeps it — while the
+// SELECT's output and a column list's values stay in scratch.
+func (e *Executor) runInsert(p *prepared, sc *scratch, ctx *ExecCtx) (*Result, error) {
+	ip, t := p.ins, p.tables[0]
+	if err := checkWindowAccess(t, ctx); err != nil {
 		return nil, err
 	}
-	t, err := e.cat.Get(p.table)
-	if err != nil {
-		return nil, err
-	}
-	var rows []types.Row
-	if p.query != nil {
-		qres, err := p.query.run(e.cat, params)
+	width := t.Schema().Len()
+	var src []types.Row
+	n := len(ip.rows)
+	if ip.query != nil {
+		qres, err := ip.query.run(p.tables[1:], &sc.sel, &sc.env)
 		if err != nil {
 			return nil, err
 		}
-		rows = qres.Rows
-	} else {
-		env := &evalEnv{params: params}
-		for _, compiled := range p.rows {
-			row := make(types.Row, len(compiled))
-			for i, ce := range compiled {
-				v, err := ce(env)
+		src, n = qres.Rows, len(qres.Rows)
+	}
+	defer sc.dropInserted()
+	for i := 0; i < n; i++ {
+		full := make(types.Row, width)
+		vals := full // VALUES without a column list evaluate in place
+		switch {
+		case src != nil:
+			vals = src[i]
+		case ip.colMap != nil:
+			if cap(sc.vals) < len(ip.colMap) {
+				sc.vals = make(types.Row, len(ip.colMap))
+			}
+			vals = sc.vals[:len(ip.colMap)]
+		}
+		if src == nil {
+			for j, ce := range ip.rows[i] {
+				v, err := ce(&sc.env)
 				if err != nil {
 					return nil, err
 				}
-				row[i] = v
+				vals[j] = v
 			}
-			rows = append(rows, row)
 		}
+		if ip.colMap == nil {
+			copy(full, vals)
+		} else {
+			for j, ord := range ip.colMap {
+				full[ord] = vals[j]
+			}
+		}
+		sc.inserted = append(sc.inserted, full)
 	}
 	if t.Kind() == storage.KindWindow && ctx.Txn != nil {
 		ctx.Txn.MarkWindow(t)
 	}
 	slid := false
-	for _, row := range rows {
-		full := row
-		if p.colMap != nil {
-			full = make(types.Row, t.Schema().Len())
-			for i, ord := range p.colMap {
-				full[ord] = row[i]
-			}
-		}
-		res, err := t.Insert(full, ctx.BatchID, ctx.undo())
+	for _, row := range sc.inserted {
+		res, err := t.Insert(row, ctx.BatchID, ctx.undo())
 		if err != nil {
 			return nil, err
 		}
 		slid = slid || res.Slid
 	}
-	result := &Result{RowsAffected: len(rows)}
-	if len(rows) == 0 {
-		return result, nil
-	}
-	switch t.Kind() {
-	case storage.KindStream:
-		ctx.Appends = append(ctx.Appends, StreamAppend{Table: lowerName(p.table), BatchID: ctx.BatchID})
-		if err := e.fireTriggers(t, ctx); err != nil {
-			return nil, err
-		}
-	case storage.KindWindow:
-		if slid {
-			if err := e.fireTriggers(t, ctx); err != nil {
+	if n > 0 {
+		switch t.Kind() {
+		case storage.KindStream:
+			ctx.Appends = append(ctx.Appends, StreamAppend{Table: ip.key, BatchID: ctx.BatchID})
+			if err := e.fireTriggers(t, ip.key, ctx); err != nil {
 				return nil, err
+			}
+		case storage.KindWindow:
+			if slid {
+				if err := e.fireTriggers(t, ip.key, ctx); err != nil {
+					return nil, err
+				}
 			}
 		}
 	}
-	return result, nil
+	sc.res = Result{RowsAffected: n}
+	return &sc.res, nil
 }
 
-// fireTriggers runs the EE triggers attached to a table, then
-// garbage-collects the consumed batch for streams not owned by a PE
-// trigger (§3.2.3).
-func (e *Executor) fireTriggers(t *storage.Table, ctx *ExecCtx) error {
-	key := lowerName(t.Name())
+// fireTriggers runs the EE triggers attached to a table (key is its
+// lower-cased name), then garbage-collects the consumed batch for
+// streams not owned by a PE trigger (§3.2.3).
+func (e *Executor) fireTriggers(t *storage.Table, key string, ctx *ExecCtx) error {
 	trs := e.triggers[key]
 	if len(trs) > 0 {
 		if ctx.depth >= maxTriggerDepth {
 			return fmt.Errorf("ee: trigger cascade deeper than %d on %s", maxTriggerDepth, t.Name())
 		}
 		ctx.depth++
-		batchParam := []types.Value{types.NewInt(ctx.BatchID)}
+		batchParam := [1]types.Value{types.NewInt(ctx.BatchID)}
 		for _, tr := range trs {
 			for _, stmt := range tr.Stmts {
-				if _, err := e.Execute(stmt, batchParam, ctx); err != nil {
+				if err := e.execTrigger(stmt, batchParam[:], ctx); err != nil {
 					ctx.depth--
 					return fmt.Errorf("ee: trigger on %s: %w", t.Name(), err)
 				}
@@ -592,22 +721,19 @@ func (e *Executor) fireTriggers(t *storage.Table, ctx *ExecCtx) error {
 	return nil
 }
 
-func (e *Executor) runUpdate(p *updatePlan, params []types.Value, ctx *ExecCtx) (*Result, error) {
-	if err := e.checkWindowAccess(p.table, ctx); err != nil {
-		return nil, err
-	}
-	t, err := e.cat.Get(p.table)
-	if err != nil {
+func (e *Executor) runUpdate(p *prepared, sc *scratch, ctx *ExecCtx) (*Result, error) {
+	up, t := p.upd, p.tables[0]
+	if err := checkWindowAccess(t, ctx); err != nil {
 		return nil, err
 	}
 	if t.Kind() == storage.KindWindow && ctx.Txn != nil {
 		ctx.Txn.MarkWindow(t)
 	}
-	tids, err := e.matchTIDs(t, p.probe, p.filter, params)
+	tids, err := matchTIDs(t, up.probe, up.filter, sc)
 	if err != nil {
 		return nil, err
 	}
-	env := &evalEnv{params: params}
+	env := &sc.env
 	for _, tid := range tids {
 		_, old, ok := t.Get(tid)
 		if !ok {
@@ -615,7 +741,7 @@ func (e *Executor) runUpdate(p *updatePlan, params []types.Value, ctx *ExecCtx) 
 		}
 		env.row = old
 		newRow := old.Clone()
-		for _, set := range p.sets {
+		for _, set := range up.sets {
 			v, err := set.expr(env)
 			if err != nil {
 				return nil, err
@@ -626,21 +752,19 @@ func (e *Executor) runUpdate(p *updatePlan, params []types.Value, ctx *ExecCtx) 
 			return nil, err
 		}
 	}
-	return &Result{RowsAffected: len(tids)}, nil
+	sc.res = Result{RowsAffected: len(tids)}
+	return &sc.res, nil
 }
 
-func (e *Executor) runDelete(p *deletePlan, params []types.Value, ctx *ExecCtx) (*Result, error) {
-	if err := e.checkWindowAccess(p.table, ctx); err != nil {
-		return nil, err
-	}
-	t, err := e.cat.Get(p.table)
-	if err != nil {
+func (e *Executor) runDelete(p *prepared, sc *scratch, ctx *ExecCtx) (*Result, error) {
+	dp, t := p.del, p.tables[0]
+	if err := checkWindowAccess(t, ctx); err != nil {
 		return nil, err
 	}
 	if t.Kind() == storage.KindWindow && ctx.Txn != nil {
 		ctx.Txn.MarkWindow(t)
 	}
-	tids, err := e.matchTIDs(t, p.probe, p.filter, params)
+	tids, err := matchTIDs(t, dp.probe, dp.filter, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -649,14 +773,15 @@ func (e *Executor) runDelete(p *deletePlan, params []types.Value, ctx *ExecCtx) 
 			return nil, err
 		}
 	}
-	return &Result{RowsAffected: len(tids)}, nil
+	sc.res = Result{RowsAffected: len(tids)}
+	return &sc.res, nil
 }
 
 // matchTIDs evaluates the access path of UPDATE/DELETE, returning the
-// matching tuple IDs before any mutation happens.
-func (e *Executor) matchTIDs(t *storage.Table, probe *indexProbe, filter compiledExpr, params []types.Value) ([]uint64, error) {
-	env := &evalEnv{params: params}
-	var tids []uint64
+// matching tuple IDs (in sc) before any mutation happens.
+func matchTIDs(t *storage.Table, probe *indexProbe, filter compiledExpr, sc *scratch) ([]uint64, error) {
+	env := &sc.env
+	tids := sc.tids[:0]
 	consider := func(meta storage.TupleMeta, row types.Row) (bool, error) {
 		if meta.Staged {
 			return false, nil
@@ -671,14 +796,15 @@ func (e *Executor) matchTIDs(t *storage.Table, probe *indexProbe, filter compile
 		return true, nil
 	}
 	if probe != nil {
-		key := make(index.Key, len(probe.keyExprs))
-		for i, ke := range probe.keyExprs {
+		key := sc.key[:0]
+		for _, ke := range probe.keyExprs {
 			v, err := ke(env)
 			if err != nil {
 				return nil, err
 			}
-			key[i] = v
+			key = append(key, v)
 		}
+		sc.key = key
 		idx := findIndex(t, probe.indexName)
 		if idx == nil {
 			return nil, fmt.Errorf("ee: plan references missing index %s", probe.indexName)
@@ -696,6 +822,7 @@ func (e *Executor) matchTIDs(t *storage.Table, probe *indexProbe, filter compile
 				tids = append(tids, tid)
 			}
 		}
+		sc.tids = tids
 		return tids, nil
 	}
 	var scanErr error
@@ -710,6 +837,7 @@ func (e *Executor) matchTIDs(t *storage.Table, probe *indexProbe, filter compile
 		}
 		return true
 	})
+	sc.tids = tids
 	return tids, scanErr
 }
 

@@ -119,9 +119,10 @@ func TestGlobalAggregateOverZeroRows(t *testing.T) {
 }
 
 // TestGroupByMallocsBounded bounds one GROUP BY statement over a warm
-// 1 000-row table with 4 groups. The run's fixed cost (sink, group map,
-// result rows) is a few dozen mallocs; any allocation per input row
-// (a group key, a hasher) costs 1 000 more and fails the bound.
+// 1 000-row table with 4 groups. The sink, its groups and the output
+// run on the statement's scratch, so the run's cost is the copy Execute
+// returns (5 mallocs); any allocation per input row (a group key, a
+// hasher) costs 1 000 more and fails the bound.
 func TestGroupByMallocsBounded(t *testing.T) {
 	e := newTestExec(t)
 	mustExec(t, e, "CREATE TABLE t (g BIGINT, x BIGINT)")
@@ -137,7 +138,7 @@ func TestGroupByMallocsBounded(t *testing.T) {
 		}
 	})
 	t.Logf("GROUP BY over 1000 rows: %.0f mallocs/statement", n)
-	if n >= 100 {
-		t.Fatalf("GROUP BY over 1000 rows in 4 groups allocates %.0f/statement, want < 100", n)
+	if n >= 20 {
+		t.Fatalf("GROUP BY over 1000 rows in 4 groups allocates %.0f/statement, want < 20", n)
 	}
 }

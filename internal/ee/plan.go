@@ -2,7 +2,7 @@ package ee
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"sstore/internal/index"
 	"sstore/internal/sql"
@@ -72,6 +72,7 @@ type aggPlan struct {
 	groupBy  []compiledExpr
 	calls    []*sql.FuncCall
 	argExprs []compiledExpr // one per call; nil for COUNT(*)
+	kinds    []aggKind      // one per call
 	having   compiledExpr   // over the agg output scope; may be nil
 }
 
@@ -263,6 +264,11 @@ func (p *selectPlan) compileAggregate(stmt *sql.Select, items []sql.SelectItem, 
 	aggScope.width = len(stmt.GroupBy)
 	for i, c := range agg.calls {
 		aggSlots[c] = len(stmt.GroupBy) + i
+		kind, err := aggKindOf(c)
+		if err != nil {
+			return err
+		}
+		agg.kinds = append(agg.kinds, kind)
 		if c.Star {
 			agg.argExprs = append(agg.argExprs, nil)
 			continue
@@ -688,27 +694,30 @@ func refsOnlyOuter(e sql.Expr, innerAlias string) bool {
 
 // --- Execution ---
 
-// run executes the plan. Result rows are freshly allocated and safe to
-// retain.
-func (p *selectPlan) run(cat *storage.Catalog, params []types.Value) (*Result, error) {
-	base, err := cat.Get(p.baseTable)
+// run executes the plan over tables — the base table, then each join's
+// inner table, as the caller resolved them — on sc, with the run's
+// parameters in env. The result lives in sc and stays valid until sc's
+// next run.
+func (p *selectPlan) run(tables []*storage.Table, sc *selScratch, env *evalEnv) (*Result, error) {
+	base := tables[0]
+	if p.maintained != nil {
+		return p.runMaintained(base, sc, env)
+	}
+	limit, err := p.resolveLimit(env.params)
 	if err != nil {
 		return nil, err
 	}
-	if p.maintained != nil {
-		return p.runMaintained(base, params)
+	sc.out.reset(p, limit)
+	if p.agg != nil {
+		sc.agg.reset(p)
 	}
-	env := &evalEnv{params: params}
+	if len(sc.joined) < len(p.joins) {
+		sc.joined = make([]types.Row, len(p.joins))
+	}
 
 	var inputErr error
-	process, finish, err := p.newSink(params)
-	if err != nil {
-		return nil, err
-	}
-
 	emit := func(row types.Row) bool {
-		env.row = row
-		ok, err := p.applyJoins(cat, env, 0, row, process)
+		ok, err := p.applyJoins(tables, sc, env, 0, row)
 		if err != nil {
 			if err != errLimitReached {
 				inputErr = err
@@ -719,14 +728,15 @@ func (p *selectPlan) run(cat *storage.Catalog, params []types.Value) (*Result, e
 	}
 
 	if p.probe != nil {
-		key := make(index.Key, len(p.probe.keyExprs))
-		for i, ke := range p.probe.keyExprs {
+		key := sc.key[:0]
+		for _, ke := range p.probe.keyExprs {
 			v, err := ke(env)
 			if err != nil {
 				return nil, err
 			}
-			key[i] = v
+			key = append(key, v)
 		}
+		sc.key = key
 		if idx := findIndex(base, p.probe.indexName); idx != nil {
 			for _, tid := range idx.Lookup(key) {
 				meta, row, ok := base.Get(tid)
@@ -758,7 +768,12 @@ func (p *selectPlan) run(cat *storage.Catalog, params []types.Value) (*Result, e
 	if inputErr != nil {
 		return nil, inputErr
 	}
-	return finish()
+	if p.agg != nil {
+		if err := sc.agg.finish(sc, env); err != nil {
+			return nil, err
+		}
+	}
+	return sc.out.result()
 }
 
 func findIndex(t *storage.Table, name string) index.Index {
@@ -770,11 +785,27 @@ func findIndex(t *storage.Table, name string) index.Index {
 	return nil
 }
 
-// applyJoins recursively extends row through each join step, invoking
-// process on fully joined rows. It returns false to stop the outer
-// scan (limit reached in non-sorted plans is not short-circuited; this
-// path only reports errors).
-func (p *selectPlan) applyJoins(cat *storage.Catalog, env *evalEnv, step int, row types.Row, process func(*evalEnv) error) (bool, error) {
+// consume feeds one accepted input row to the sink: the aggregation,
+// or the output tail of a plain projection.
+func (p *selectPlan) consume(sc *selScratch, env *evalEnv) error {
+	if p.agg != nil {
+		return sc.agg.add(env)
+	}
+	if err := sc.out.add(env); err != nil {
+		return err
+	}
+	if sc.out.full() {
+		return errLimitReached
+	}
+	return nil
+}
+
+// applyJoins recursively extends row through each join step, consuming
+// fully joined rows. It returns false to stop the outer scan (limit
+// reached in non-sorted plans is not short-circuited; this path only
+// reports errors). Step i builds its joined rows in sc.joined[i]: no
+// sink retains env.row, so one buffer per step serves every inner row.
+func (p *selectPlan) applyJoins(tables []*storage.Table, sc *selScratch, env *evalEnv, step int, row types.Row) (bool, error) {
 	if step == len(p.joins) {
 		env.row = row
 		if p.filter != nil {
@@ -786,20 +817,16 @@ func (p *selectPlan) applyJoins(cat *storage.Catalog, env *evalEnv, step int, ro
 				return true, nil
 			}
 		}
-		if err := process(env); err != nil {
+		if err := p.consume(sc, env); err != nil {
 			return false, err
 		}
 		return true, nil
 	}
 	js := p.joins[step]
-	inner, err := cat.Get(js.table)
-	if err != nil {
-		return false, err
-	}
+	inner := tables[1+step]
 	tryRow := func(innerRow types.Row) (bool, error) {
-		combined := make(types.Row, 0, len(row)+len(innerRow))
-		combined = append(combined, row...)
-		combined = append(combined, innerRow...)
+		combined := append(append(sc.joined[step][:0], row...), innerRow...)
+		sc.joined[step] = combined
 		if js.on != nil {
 			env.row = combined
 			ok, err := boolOf(js.on, env)
@@ -810,7 +837,7 @@ func (p *selectPlan) applyJoins(cat *storage.Catalog, env *evalEnv, step int, ro
 				return true, nil
 			}
 		}
-		return p.applyJoins(cat, env, step+1, combined, process)
+		return p.applyJoins(tables, sc, env, step+1, combined)
 	}
 	if js.probe != nil {
 		env.row = row
@@ -867,14 +894,17 @@ func (p *selectPlan) applyJoins(cat *storage.Catalog, env *evalEnv, step int, ro
 // is O(1) in the window size, O(groups) when grouped: the §4.3 point
 // that window statistics live in table metadata, extended to the
 // aggregates themselves.
-func (p *selectPlan) runMaintained(base *storage.Table, params []types.Value) (*Result, error) {
-	out, err := p.newOutput(params)
+func (p *selectPlan) runMaintained(base *storage.Table, sc *selScratch, env *evalEnv) (*Result, error) {
+	limit, err := p.resolveLimit(env.params)
 	if err != nil {
 		return nil, err
 	}
-	env := &evalEnv{params: params}
+	out := &sc.out
+	out.reset(p, limit)
+	nk := len(p.groupKeys)
+	synthetic := sc.syntheticRow(nk + len(p.maintained))
+	env.row = synthetic
 	if p.groupKeys == nil {
-		synthetic := make(types.Row, len(p.maintained))
 		for i, m := range p.maintained {
 			v, ok := base.MaintainedAggregate(m.fn, m.col)
 			if !ok {
@@ -882,7 +912,6 @@ func (p *selectPlan) runMaintained(base *storage.Table, params []types.Value) (*
 			}
 			synthetic[i] = v
 		}
-		env.row = synthetic
 		if err := out.addGroup(env); err != nil {
 			return nil, err
 		}
@@ -892,9 +921,6 @@ func (p *selectPlan) runMaintained(base *storage.Table, params []types.Value) (*
 	if groups == nil {
 		return nil, fmt.Errorf("ee: window %s no longer maintains grouped aggregates", base.Name())
 	}
-	nk := len(p.groupKeys)
-	synthetic := make(types.Row, nk+len(p.maintained))
-	env.row = synthetic
 	for i := 0; i < groups.Len(); i++ {
 		copy(synthetic, groups.Key(i))
 		for j, m := range p.maintained {
@@ -905,6 +931,15 @@ func (p *selectPlan) runMaintained(base *storage.Table, params []types.Value) (*
 		}
 	}
 	return out.result()
+}
+
+// syntheticRow returns the scratch's group row, n values wide.
+func (sc *selScratch) syntheticRow(n int) types.Row {
+	if cap(sc.synthetic) < n {
+		sc.synthetic = make(types.Row, n)
+	}
+	sc.synthetic = sc.synthetic[:n]
+	return sc.synthetic
 }
 
 // resolveLimit returns the effective LIMIT (-1 = none), reading the
@@ -926,11 +961,17 @@ func (p *selectPlan) resolveLimit(params []types.Value) (int, error) {
 
 // output is the tail every SELECT plan ends in: projection of each
 // accepted row, ORDER BY keys, then sort and LIMIT into the Result. It
-// never retains env.row, so callers may refill one scratch row.
+// never retains env.row, so callers may refill one scratch row. The
+// projected rows and their sort keys are cut from one value arena that
+// the next run overwrites — so rows a LIMIT drops cost nothing — and
+// the Result is the output's own.
 type output struct {
-	p     *selectPlan
-	limit int // -1 = none
-	rows  []sortable
+	p       *selectPlan
+	limit   int // -1 = none
+	rows    []sortable
+	vals    []types.Value // arena: each accepted row's values, then its keys
+	res     Result
+	resRows []types.Row
 }
 
 type sortable struct {
@@ -938,19 +979,25 @@ type sortable struct {
 	keys types.Row
 }
 
-func (p *selectPlan) newOutput(params []types.Value) (*output, error) {
-	limit, err := p.resolveLimit(params)
-	if err != nil {
-		return nil, err
-	}
-	return &output{p: p, limit: limit}, nil
+// reset re-arms the output for one run of p.
+func (o *output) reset(p *selectPlan, limit int) {
+	o.p, o.limit = p, limit
+	o.vals, o.rows = o.vals[:0], o.rows[:0]
 }
 
 // add projects env.row through the select items and evaluates its
 // ORDER BY keys.
 func (o *output) add(env *evalEnv) error {
 	p := o.p
-	out := make(types.Row, len(p.items))
+	ni := len(p.items)
+	w := ni + len(p.orderBy)
+	n := len(o.vals)
+	if n+w > cap(o.vals) {
+		// Start a larger arena; rows already cut keep the old one.
+		o.vals, n = make([]types.Value, 0, max(2*cap(o.vals), 8*w)), 0
+	}
+	o.vals = o.vals[:n+w]
+	out := o.vals[n : n+ni : n+ni]
 	for i, item := range p.items {
 		v, err := item(env)
 		if err != nil {
@@ -960,7 +1007,7 @@ func (o *output) add(env *evalEnv) error {
 	}
 	var keys types.Row
 	if len(p.orderBy) > 0 {
-		keys = make(types.Row, len(p.orderBy))
+		keys = o.vals[n+ni : n+w : n+w]
 		for i, ob := range p.orderBy {
 			v, err := ob.expr(env)
 			if err != nil {
@@ -991,163 +1038,187 @@ func (o *output) full() bool {
 	return len(o.p.orderBy) == 0 && o.limit >= 0 && len(o.rows) >= o.limit
 }
 
-// result sorts, applies LIMIT and builds the Result.
+// result sorts, applies LIMIT and fills the output's Result, whose
+// Columns are the plan's own read-only names.
 func (o *output) result() (*Result, error) {
 	rows := o.rows
 	if len(o.p.orderBy) > 0 {
-		if err := sortRows(rows, o.p.orderBy, func(s *sortable) types.Row { return s.keys }); err != nil {
+		if err := sortRows(rows, o.p.orderBy); err != nil {
 			return nil, err
 		}
 	}
 	if o.limit >= 0 && len(rows) > o.limit {
 		rows = rows[:o.limit]
 	}
-	res := &Result{Columns: append([]string(nil), o.p.colNames...)}
+	o.res = Result{Columns: o.p.colNames}
 	if len(rows) > 0 {
-		res.Rows = make([]types.Row, len(rows))
-		for i, r := range rows {
-			res.Rows[i] = r.row
+		o.resRows = o.resRows[:0]
+		for _, r := range rows {
+			o.resRows = append(o.resRows, r.row)
 		}
+		o.res.Rows = o.resRows
 	}
-	return res, nil
+	if cap(o.vals) > maxScratchValues {
+		// The Result keeps what it needs; the scratch lets go.
+		o.vals, o.rows, o.resRows = nil, nil, nil
+	}
+	return &o.res, nil
 }
 
-// newSink builds the row consumer (projection or aggregation) and the
-// finisher that applies sort/limit and produces the Result.
-func (p *selectPlan) newSink(params []types.Value) (func(*evalEnv) error, func() (*Result, error), error) {
-	out, err := p.newOutput(params)
-	if err != nil {
-		return nil, nil, err
-	}
+// aggSink groups input rows and accumulates their aggregates. Groups
+// live in one slice in first-seen order, chained per key hash; the
+// slice, every group's key and accumulators, and the hash heads are
+// re-armed in place by the next run.
+type aggSink struct {
+	p      *selectPlan
+	heads  map[uint64]int32 // key hash → newest group with that hash
+	groups []aggGroup
+	key    types.Row // each input row's group key is built here
+}
 
-	if p.agg == nil {
-		process := func(env *evalEnv) error {
-			if err := out.add(env); err != nil {
-				return err
-			}
-			if out.full() {
-				return errLimitReached
-			}
-			return nil
-		}
-		return process, out.result, nil
-	}
+type aggGroup struct {
+	key  types.Row
+	accs []aggregator
+	next int32 // older group with the same key hash; -1 ends the chain
+}
 
-	// Aggregation sink.
-	type group struct {
-		key  types.Row
-		accs []aggregator
+// maxScratchGroups bounds the groups an aggregation sink keeps between
+// runs (see maxScratchValues).
+const maxScratchGroups = 1 << 10
+
+// reset re-arms the sink for one run of p.
+func (s *aggSink) reset(p *selectPlan) {
+	s.p = p
+	if s.heads == nil {
+		s.heads = make(map[uint64]int32)
+	} else {
+		clear(s.heads)
 	}
-	groups := make(map[uint64][]*group)
-	var order []*group
-	newGroup := func(key types.Row) (*group, error) {
-		g := &group{key: key}
-		for _, c := range p.agg.calls {
-			acc, err := newAggregator(c)
-			if err != nil {
-				return nil, err
-			}
-			g.accs = append(g.accs, acc)
-		}
-		return g, nil
+	s.groups = s.groups[:0]
+	if n := len(p.agg.groupBy); cap(s.key) < n {
+		s.key = make(types.Row, n)
+	} else {
+		s.key = s.key[:n]
 	}
-	// key is this run's scratch: every input row's group key is built
-	// in it, and only a new group keeps a copy.
-	key := make(types.Row, len(p.agg.groupBy))
-	process := func(env *evalEnv) error {
-		for i, ge := range p.agg.groupBy {
-			v, err := ge(env)
-			if err != nil {
-				return err
-			}
-			key[i] = v
+}
+
+// newGroup opens a group for key, reusing a previous run's group slot
+// and its buffers when there is one.
+func (s *aggSink) newGroup(key types.Row) *aggGroup {
+	n := len(s.groups)
+	if n < cap(s.groups) {
+		s.groups = s.groups[:n+1]
+	} else {
+		s.groups = append(s.groups, aggGroup{})
+	}
+	g := &s.groups[n]
+	g.key = append(g.key[:0], key...)
+	kinds := s.p.agg.kinds
+	if cap(g.accs) < len(kinds) {
+		g.accs = make([]aggregator, len(kinds))
+	}
+	g.accs = g.accs[:len(kinds)]
+	for i, k := range kinds {
+		g.accs[i].reset(k)
+	}
+	g.next = -1
+	return g
+}
+
+// add folds one input row into its group.
+func (s *aggSink) add(env *evalEnv) error {
+	agg := s.p.agg
+	for i, ge := range agg.groupBy {
+		v, err := ge(env)
+		if err != nil {
+			return err
 		}
-		h := index.HashKey(index.Key(key))
-		var g *group
-		for _, cand := range groups[h] {
-			if cand.key.Equal(key) {
-				g = cand
+		s.key[i] = v
+	}
+	h := index.HashKey(index.Key(s.key))
+	var g *aggGroup
+	head, chained := s.heads[h]
+	if chained {
+		for c := head; c >= 0; c = s.groups[c].next {
+			if s.groups[c].key.Equal(s.key) {
+				g = &s.groups[c]
 				break
 			}
 		}
-		if g == nil {
+	}
+	if g == nil {
+		g = s.newGroup(s.key)
+		if chained {
+			g.next = head
+		}
+		s.heads[h] = int32(len(s.groups) - 1)
+	}
+	for i := range g.accs {
+		v := types.NewInt(1) // COUNT(*): any non-null marker
+		if ae := agg.argExprs[i]; ae != nil {
 			var err error
-			g, err = newGroup(append(types.Row(nil), key...))
-			if err != nil {
-				return err
-			}
-			groups[h] = append(groups[h], g)
-			order = append(order, g)
-		}
-		for i, acc := range g.accs {
-			var v types.Value
-			if p.agg.argExprs[i] == nil {
-				v = types.NewInt(1) // COUNT(*): any non-null marker
-			} else {
-				var err error
-				v, err = p.agg.argExprs[i](env)
-				if err != nil {
-					return err
-				}
-			}
-			if err := acc.add(v); err != nil {
+			if v, err = ae(env); err != nil {
 				return err
 			}
 		}
-		return nil
-	}
-	finish := func() (*Result, error) {
-		// Global aggregate over zero rows still yields one group.
-		if len(order) == 0 && len(p.agg.groupBy) == 0 {
-			g, err := newGroup(types.Row{})
-			if err != nil {
-				return nil, err
-			}
-			order = append(order, g)
+		if err := g.accs[i].add(v); err != nil {
+			return err
 		}
-		env := &evalEnv{params: params}
-		synthetic := make(types.Row, len(p.agg.groupBy)+len(p.agg.calls))
-		env.row = synthetic
-		for _, g := range order {
-			n := copy(synthetic, g.key)
-			for i, acc := range g.accs {
-				synthetic[n+i] = acc.result()
-			}
-			if err := out.addGroup(env); err != nil {
-				return nil, err
-			}
-		}
-		return out.result()
 	}
-	return process, finish, nil
+	return nil
+}
+
+// finish feeds every group's synthetic row through the output tail.
+func (s *aggSink) finish(sc *selScratch, env *evalEnv) error {
+	agg := s.p.agg
+	// Global aggregate over zero rows still yields one group.
+	if len(s.groups) == 0 && len(agg.groupBy) == 0 {
+		s.newGroup(nil)
+	}
+	synthetic := sc.syntheticRow(len(agg.groupBy) + len(agg.calls))
+	env.row = synthetic
+	for i := range s.groups {
+		g := &s.groups[i]
+		n := copy(synthetic, g.key)
+		for j := range g.accs {
+			synthetic[n+j] = g.accs[j].result()
+		}
+		if err := sc.out.addGroup(env); err != nil {
+			return err
+		}
+	}
+	if cap(s.groups) > maxScratchGroups {
+		s.heads, s.groups = nil, nil
+	}
+	return nil
 }
 
 // errLimitReached is an internal sentinel that stops the scan early; it
 // is not surfaced to callers.
 var errLimitReached = fmt.Errorf("ee: limit reached")
 
-// sortRows sorts by the precomputed keys with the requested directions.
-func sortRows[T any](rows []T, keys []orderKey, keyFn func(*T) types.Row) error {
+// sortRows stably sorts by the precomputed keys with the requested
+// directions: rows with equal keys keep their input order.
+func sortRows(rows []sortable, keys []orderKey) error {
 	var sortErr error
-	sort.SliceStable(rows, func(i, j int) bool {
+	slices.SortStableFunc(rows, func(a, b sortable) int {
 		if sortErr != nil {
-			return false
+			return 0
 		}
-		ki, kj := keyFn(&rows[i]), keyFn(&rows[j])
 		for k := range keys {
-			c, err := ki[k].Compare(kj[k])
+			c, err := a.keys[k].Compare(b.keys[k])
 			if err != nil {
 				sortErr = err
-				return false
+				return 0
 			}
 			if c != 0 {
 				if keys[k].desc {
-					return c > 0
+					return -c
 				}
-				return c < 0
+				return c
 			}
 		}
-		return false
+		return 0
 	})
 	return sortErr
 }

@@ -121,21 +121,30 @@ func (p *ReadPlan) Maintained() (table string, refs []MaintainedRef, ok bool) {
 // resolved tables. Reads run with no owning stored procedure, so
 // private windows are rejected like any ad-hoc access (§3.2.2). Plans
 // served from maintained aggregates must use RunMaintained instead:
-// reading accumulators off a shared table is not latch-safe.
+// reading accumulators off a shared table is not latch-safe. Each run
+// works on fresh scratch, so the result is the caller's to retain.
 func (p *ReadPlan) Run(cat *storage.Catalog, params []types.Value) (*Result, error) {
 	if p.sel.maintained != nil {
 		return nil, fmt.Errorf("ee: maintained-aggregate plan requires RunMaintained")
 	}
-	for _, name := range p.tables {
+	names := selTables(p.sel)
+	tables := make([]*storage.Table, len(names))
+	for i, name := range names {
 		t, err := cat.Get(name)
 		if err != nil {
 			return nil, err
 		}
 		if t.Kind() == storage.KindWindow && t.OwnerSP != "" {
-			return nil, fmt.Errorf("ee: window %s is private to stored procedure %s (accessed from read view)", name, t.OwnerSP)
+			return nil, fmt.Errorf("ee: window %s is private to stored procedure %s (accessed from read view)", lowerName(name), t.OwnerSP)
 		}
+		tables[i] = t
 	}
-	return p.sel.run(cat, params)
+	res, err := p.sel.run(tables, new(selScratch), &evalEnv{params: params})
+	if err != nil {
+		return nil, err
+	}
+	res.Columns = append([]string(nil), res.Columns...)
+	return res, nil
 }
 
 // RunMaintained serves a maintained-aggregate plan from captured
@@ -149,12 +158,19 @@ func (p *ReadPlan) RunMaintained(vals []types.Value, params []types.Value) (*Res
 	if len(vals) != len(p.sel.maintained) {
 		return nil, fmt.Errorf("ee: maintained plan wants %d values, got %d", len(p.sel.maintained), len(vals))
 	}
-	out, err := p.sel.newOutput(params)
+	limit, err := p.sel.resolveLimit(params)
 	if err != nil {
 		return nil, err
 	}
+	out := new(output)
+	out.reset(p.sel, limit)
 	if err := out.addGroup(&evalEnv{params: params, row: types.Row(vals)}); err != nil {
 		return nil, err
 	}
-	return out.result()
+	res, err := out.result()
+	if err != nil {
+		return nil, err
+	}
+	res.Columns = append([]string(nil), res.Columns...)
+	return res, nil
 }

@@ -65,10 +65,24 @@ func SetupHStoreSchema(eng Engine, cfg Config, seed func(stmt string) error) err
 func HStoreProcs(cfg Config) []*pe.StoredProc {
 	cfg = cfg.withDefaults()
 	return []*pe.StoredProc{
-		{Name: HSPValidate, Func: hValidate()},
-		{Name: HSPMaintain, Func: hMaintain(cfg)},
-		{Name: HSPDelete, Func: deleteProc(cfg, false)}, // identical logic, no stream read
+		{Name: HSPValidate, Func: hValidate(), Stmts: hValidateStmts},
+		{Name: HSPMaintain, Func: hMaintain(cfg), Stmts: hMaintainStmts},
+		// Identical logic, no stream read.
+		{Name: HSPDelete, Func: deleteProc(cfg, false), Stmts: deleteStmts(false)},
 	}
+}
+
+// HValidate's declared statements.
+const (
+	hvActive = iota
+	hvDup
+	hvRecord
+)
+
+var hValidateStmts = []string{
+	hvActive: "SELECT active FROM contestants WHERE id = ?",
+	hvDup:    "SELECT phone FROM votes WHERE phone = ?",
+	hvRecord: "INSERT INTO votes VALUES (?, ?, ?)",
 }
 
 func hValidate() pe.ProcFunc {
@@ -76,17 +90,17 @@ func hValidate() pe.ProcFunc {
 		phone, cand := ctx.Params()[0], ctx.Params()[1]
 		ts := ctx.Params()[2]
 		valid := int64(0)
-		ok, err := ctx.Query("SELECT active FROM contestants WHERE id = ?", cand)
+		ok, err := ctx.Exec(hvActive, cand)
 		if err != nil {
 			return err
 		}
 		if len(ok.Rows) > 0 && ok.Rows[0][0].Bool() {
-			dup, err := ctx.Query("SELECT phone FROM votes WHERE phone = ?", phone)
+			dup, err := ctx.Exec(hvDup, phone)
 			if err != nil {
 				return err
 			}
 			if len(dup.Rows) == 0 {
-				if _, err := ctx.Query("INSERT INTO votes VALUES (?, ?, ?)", phone, cand, ts); err != nil {
+				if _, err := ctx.Exec(hvRecord, phone, cand, ts); err != nil {
 					return err
 				}
 				valid = 1
@@ -97,6 +111,38 @@ func hValidate() pe.ProcFunc {
 	}
 }
 
+// hTrendFill fills the trending board from the hand-rolled window's
+// active rows, re-grouping them on every refresh.
+const hTrendFill = "INSERT INTO leaderboard_trend SELECT 0, contestant_id, COUNT(*) FROM trend_win WHERE staged = false GROUP BY contestant_id ORDER BY COUNT(*) DESC, contestant_id LIMIT ?"
+
+// HMaintain's declared statements; the board refresh follows hmBoards.
+const (
+	hmMeta = iota
+	hmStage
+	hmSaveMeta
+	hmTotal
+	hmCount
+	hmReadCount
+	hmOldestStaged
+	hmActivate
+	hmOldestActive
+	hmExpire
+	hmBoards
+)
+
+var hMaintainStmts = append([]string{
+	hmMeta:         "SELECT next_seq, staged_n, active_n FROM trend_meta",
+	hmStage:        "INSERT INTO trend_win VALUES (?, ?, true)",
+	hmSaveMeta:     "UPDATE trend_meta SET next_seq = ?, staged_n = ?, active_n = ?",
+	hmTotal:        "UPDATE contestants SET total = total + 1 WHERE id = ?",
+	hmCount:        "UPDATE vote_counter SET n = n + 1",
+	hmReadCount:    "SELECT n FROM vote_counter",
+	hmOldestStaged: "SELECT seq FROM trend_win WHERE staged = true ORDER BY seq LIMIT ?",
+	hmActivate:     "UPDATE trend_win SET staged = false WHERE seq = ?",
+	hmOldestActive: "SELECT seq FROM trend_win WHERE staged = false ORDER BY seq LIMIT ?",
+	hmExpire:       "DELETE FROM trend_win WHERE seq = ?",
+}, boardStmts(hTrendFill)...)
+
 // hMaintain is the manual-window version of SP2: a "two-staged stored
 // procedure to manage the window state using a combination of SQL
 // queries and Java logic" (§4.3) — here, SQL plus Go.
@@ -106,48 +152,47 @@ func hMaintain(cfg Config) pe.ProcFunc {
 	return func(ctx *pe.ProcCtx) error {
 		cand := ctx.Params()[1]
 		// Stage the incoming tuple.
-		meta, err := ctx.Query("SELECT next_seq, staged_n, active_n FROM trend_meta")
+		meta, err := ctx.Exec(hmMeta)
 		if err != nil {
 			return err
 		}
 		seq, stagedN, activeN := meta.Rows[0][0].Int(), meta.Rows[0][1].Int(), meta.Rows[0][2].Int()
-		if _, err := ctx.Query("INSERT INTO trend_win VALUES (?, ?, true)", types.NewInt(seq), cand); err != nil {
+		if _, err := ctx.Exec(hmStage, types.NewInt(seq), cand); err != nil {
 			return err
 		}
 		seq++
 		stagedN++
 		// Slide checks, mirroring native-window semantics.
 		if activeN == 0 && stagedN >= size {
-			if err := activateOldestStaged(ctx, size); err != nil {
+			if err := moveOldest(ctx, hmOldestStaged, hmActivate, size); err != nil {
 				return err
 			}
 			stagedN -= size
 			activeN = size
 		}
 		for activeN > 0 && stagedN >= slide {
-			if err := expireOldestActive(ctx, slide); err != nil {
+			if err := moveOldest(ctx, hmOldestActive, hmExpire, slide); err != nil {
 				return err
 			}
-			if err := activateOldestStaged(ctx, slide); err != nil {
+			if err := moveOldest(ctx, hmOldestStaged, hmActivate, slide); err != nil {
 				return err
 			}
 			stagedN -= slide
 		}
-		if _, err := ctx.Query("UPDATE trend_meta SET next_seq = ?, staged_n = ?, active_n = ?",
-			types.NewInt(seq), types.NewInt(stagedN), types.NewInt(activeN)); err != nil {
+		if _, err := ctx.Exec(hmSaveMeta, types.NewInt(seq), types.NewInt(stagedN), types.NewInt(activeN)); err != nil {
 			return err
 		}
 		// Totals, counter, leaderboards.
-		if _, err := ctx.Query("UPDATE contestants SET total = total + 1 WHERE id = ?", cand); err != nil {
+		if _, err := ctx.Exec(hmTotal, cand); err != nil {
 			return err
 		}
-		if _, err := ctx.Query("UPDATE vote_counter SET n = n + 1"); err != nil {
+		if _, err := ctx.Exec(hmCount); err != nil {
 			return err
 		}
-		if err := refreshHLeaderboards(ctx, topK); err != nil {
+		if err := refreshLeaderboards(ctx, hmBoards, topK); err != nil {
 			return err
 		}
-		cnt, err := ctx.Query("SELECT n FROM vote_counter")
+		cnt, err := ctx.Exec(hmReadCount)
 		if err != nil {
 			return err
 		}
@@ -156,54 +201,16 @@ func hMaintain(cfg Config) pe.ProcFunc {
 	}
 }
 
-func activateOldestStaged(ctx *pe.ProcCtx, n int64) error {
-	rows, err := ctx.Query("SELECT seq FROM trend_win WHERE staged = true ORDER BY seq LIMIT ?", types.NewInt(n))
+// moveOldest selects the n oldest window rows with statement pick and
+// runs statement move on each one's seq: activating staged rows, or
+// expiring active ones.
+func moveOldest(ctx *pe.ProcCtx, pick, move int, n int64) error {
+	rows, err := ctx.Exec(pick, types.NewInt(n))
 	if err != nil {
 		return err
 	}
 	for _, r := range rows.Rows {
-		if _, err := ctx.Query("UPDATE trend_win SET staged = false WHERE seq = ?", r[0]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func expireOldestActive(ctx *pe.ProcCtx, n int64) error {
-	rows, err := ctx.Query("SELECT seq FROM trend_win WHERE staged = false ORDER BY seq LIMIT ?", types.NewInt(n))
-	if err != nil {
-		return err
-	}
-	for _, r := range rows.Rows {
-		if _, err := ctx.Query("DELETE FROM trend_win WHERE seq = ?", r[0]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// refreshHLeaderboards mirrors refreshLeaderboards against the manual
-// window.
-func refreshHLeaderboards(ctx *pe.ProcCtx, topK types.Value) error {
-	stmts := []struct{ clear, fill string }{
-		{
-			"DELETE FROM leaderboard_top",
-			"INSERT INTO leaderboard_top SELECT 0, id, total FROM contestants WHERE active = true ORDER BY total DESC, id LIMIT ?",
-		},
-		{
-			"DELETE FROM leaderboard_bottom",
-			"INSERT INTO leaderboard_bottom SELECT 0, id, total FROM contestants WHERE active = true ORDER BY total ASC, id LIMIT ?",
-		},
-		{
-			"DELETE FROM leaderboard_trend",
-			"INSERT INTO leaderboard_trend SELECT 0, contestant_id, COUNT(*) FROM trend_win WHERE staged = false GROUP BY contestant_id ORDER BY COUNT(*) DESC, contestant_id LIMIT ?",
-		},
-	}
-	for _, s := range stmts {
-		if _, err := ctx.Query(s.clear); err != nil {
-			return err
-		}
-		if _, err := ctx.Query(s.fill, topK); err != nil {
+		if _, err := ctx.Exec(move, r[0]); err != nil {
 			return err
 		}
 	}

@@ -206,8 +206,8 @@ func Workflow() (*workflow.Workflow, error) {
 func Procs(cfg Config) []*pe.StoredProc {
 	cfg = cfg.withDefaults()
 	return []*pe.StoredProc{
-		{Name: SPValidate, Func: validateProc(cfg)},
-		{Name: SPMaintain, Func: maintainProc(cfg)},
-		{Name: SPDelete, Func: deleteProc(cfg, true)},
+		{Name: SPValidate, Func: validateProc(cfg), Stmts: validateStmts},
+		{Name: SPMaintain, Func: maintainProc(cfg), Stmts: maintainStmts},
+		{Name: SPDelete, Func: deleteProc(cfg, true), Stmts: deleteStmts(true)},
 	}
 }

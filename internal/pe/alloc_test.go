@@ -88,11 +88,13 @@ func TestConflictOpsAllocFree(t *testing.T) {
 
 // TestIngestSteadyMallocsBounded bounds heap allocations per batch end
 // to end at steady state: a two-row batch through a border SP into a
-// full 512-row sliding window. The scheduler, SQL layer and batch
-// construction allocate by design, so this is a ceiling, not zero:
-// pooled tasks, contexts and version chains keep it near 30 on a
-// 2-vCPU x86-64 host, and the 200 bound still catches any path that
-// allocates per window row (512 per slide).
+// full 512-row sliding window. Some allocation is by design, so this
+// is a ceiling, not zero: the four rows the stream and the window keep,
+// the batch's own structures in Engine.ingest, the copy Query returns,
+// and the stream GC's victim list keep it near 11.4 on a 2-vCPU x86-64
+// host (statements run on their compiled scratch, and pooled tasks,
+// contexts and version chains allocate nothing). The bound of 15 fails
+// on any new per-batch allocation that is not a stored row.
 func TestIngestSteadyMallocsBounded(t *testing.T) {
 	eng, err := NewEngine(Options{})
 	if err != nil {
@@ -144,7 +146,7 @@ func TestIngestSteadyMallocsBounded(t *testing.T) {
 	}
 	perBatch := float64(m1.Mallocs-m0.Mallocs) / n
 	t.Logf("steady ingest: %.1f mallocs/batch", perBatch)
-	if perBatch >= 200 {
-		t.Fatalf("steady ingest allocates %.1f/batch, want < 200", perBatch)
+	if perBatch >= 15 {
+		t.Fatalf("steady ingest allocates %.1f/batch, want < 15", perBatch)
 	}
 }

@@ -402,13 +402,33 @@ func (e *Engine) ExecDDLOwned(owner, ddl string) error {
 	return nil
 }
 
-// RegisterProc adds a stored procedure definition.
+// RegisterProc adds a stored procedure definition and compiles its
+// declared statements on every partition, against the tables that
+// exist now: register procedures after the DDL they use.
 func (e *Engine) RegisterProc(sp *StoredProc) error {
 	if sp.Name == "" || sp.Func == nil {
 		return fmt.Errorf("pe: stored procedure needs a name and a body")
 	}
 	if _, dup := e.procs[sp.Name]; dup {
 		return fmt.Errorf("pe: stored procedure %q already registered", sp.Name)
+	}
+	if len(sp.Stmts) > 0 {
+		for _, p := range e.parts {
+			if err := e.onPartition(p, func(p *partition) error {
+				stmts := make([]*ee.Stmt, len(sp.Stmts))
+				for i, text := range sp.Stmts {
+					s, err := p.exec.Declare(text)
+					if err != nil {
+						return fmt.Errorf("pe: stored procedure %s statement %d: %w", sp.Name, i, err)
+					}
+					stmts[i] = s
+				}
+				p.stmts[sp.Name] = stmts
+				return nil
+			}); err != nil {
+				return err
+			}
+		}
 	}
 	e.procs[sp.Name] = sp
 	return nil

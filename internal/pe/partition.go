@@ -76,7 +76,13 @@ type partition struct {
 	execBySP       map[string]uint64
 	pendingGC      map[batchKey]int // batch → consumers yet to commit
 
-	insertSQL map[string]string // cached INSERT statement per stream
+	// stmts are each stored procedure's declared statements compiled
+	// on this partition (RegisterProc); inserts is the compiled
+	// border-row INSERT per stream. Both are written on the dispatcher
+	// goroutine only — executeWave prefills inserts before a wave — so
+	// worker bodies only read them.
+	stmts   map[string][]*ee.Stmt
+	inserts map[string]*ee.Stmt
 
 	// durable is the partition's log, ledger and archive site (see
 	// durability.go).
@@ -140,7 +146,8 @@ func newPartition(id int, eng *Engine) *partition {
 		spWave:    make(map[string]bool),
 		execBySP:  make(map[string]uint64),
 		pendingGC: make(map[batchKey]int),
-		insertSQL: make(map[string]string),
+		stmts:     make(map[string][]*ee.Stmt),
+		inserts:   make(map[string]*ee.Stmt),
 		durable:   durable{ledger: stream.NewDedup()},
 		done:      make(chan struct{}),
 	}
@@ -267,8 +274,8 @@ func (p *partition) runParallel(ts []*task) {
 // mutations, so interior boundaries never exist as physical states)
 // while the completed-task count stays identical to serial execution.
 func (p *partition) executeWave(ts []*task) {
-	// Prefill the INSERT statement cache on the dispatcher: workers
-	// only read it. A miss here surfaces in the body, which fails with
+	// Prefill the compiled border INSERTs on the dispatcher: workers
+	// only read them. A miss here surfaces in the body, which fails with
 	// the same error serial execution would report.
 	for _, t := range ts {
 		if len(t.in.Rows) > 0 && t.in.Stream != "" && t.kind != wal.KindInterior {
@@ -382,7 +389,7 @@ func (p *partition) beginSP(r *spRun, t *task, sp *StoredProc, allowed *ee.Acces
 	ectx := p.getECtx()
 	ectx.Reset(t.sp, t.in.ID, tx, allowed)
 	pc := p.getProcCtx()
-	*pc = ProcCtx{part: p, ectx: ectx, params: t.params, in: t.in}
+	*pc = ProcCtx{part: p, ectx: ectx, params: t.params, in: t.in, stmts: p.stmts[t.sp]}
 	if t.kind != wal.KindBorder {
 		pc.in.Rows = nil
 	}
@@ -458,44 +465,49 @@ func (p *partition) retireSP(r *spRun) {
 	p.executed++
 	p.execBySP[t.sp]++
 	p.afterCommit(t, r.ectx.Appends)
-	res := r.pc.result
-	if res == nil {
-		res = &Result{}
+	var res *Result
+	if t.reply != nil { // a PE-triggered TE has nobody to tell
+		if res = r.pc.result; res == nil {
+			res = &Result{}
+		}
+		res.LastInsertBatch = t.in.ID
 	}
-	res.LastInsertBatch = t.in.ID
 	p.replyTo(t, res, nil)
 }
 
-// insertStmtFor returns (caching on success) the INSERT statement for
-// a stream. The cache is written only by the dispatcher goroutine; the
-// parallel dispatcher prefills it before launching a wave, so worker
-// bodies only read it.
-func (p *partition) insertStmtFor(streamName string) (string, error) {
-	if stmt, ok := p.insertSQL[streamName]; ok {
+// insertStmtFor returns (compiling on first use) the statement that
+// appends one row to a stream: INSERT INTO <stream> VALUES (?, …). It
+// is written only by the dispatcher goroutine.
+func (p *partition) insertStmtFor(streamName string) (*ee.Stmt, error) {
+	if stmt, ok := p.inserts[streamName]; ok {
 		return stmt, nil
 	}
 	tbl, err := p.cat.Get(streamName)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	ph := make([]string, tbl.Schema().Len())
 	for i := range ph {
 		ph[i] = "?"
 	}
-	stmt := "INSERT INTO " + streamName + " VALUES (" + strings.Join(ph, ", ") + ")"
-	p.insertSQL[streamName] = stmt
+	stmt, err := p.exec.Declare("INSERT INTO " + streamName + " VALUES (" + strings.Join(ph, ", ") + ")")
+	if err != nil {
+		return nil, err
+	}
+	p.inserts[streamName] = stmt
 	return stmt, nil
 }
 
 // insertBatch appends a batch's tuples to a stream table through the
-// executor so EE triggers fire exactly as they would for any insert.
+// executor, one compiled INSERT per row, so EE triggers fire exactly
+// as they would for any insert.
 func (p *partition) insertBatch(streamName string, rows []types.Row, ectx *ee.ExecCtx) error {
 	stmt, err := p.insertStmtFor(streamName)
 	if err != nil {
 		return err
 	}
 	for _, row := range rows {
-		if _, err := p.exec.Execute(stmt, row, ectx); err != nil {
+		if _, err := p.exec.Exec(stmt, row, ectx); err != nil {
 			return err
 		}
 	}

@@ -34,6 +34,11 @@ type StoredProc struct {
 	Name string
 	// Func is the procedure body.
 	Func ProcFunc
+	// Stmts declares the body's SQL, as H-Store procedures declare
+	// their statements (§3.1): each text is compiled once per partition
+	// at registration, and the body runs statement i with
+	// ProcCtx.Exec(i, …). Ad hoc SQL still goes through ProcCtx.Query.
+	Stmts []string
 	// Access, when non-nil, declares the body's read/write footprint,
 	// making the procedure a candidate for intra-partition parallel
 	// execution (Options.Workers): TEs whose declared sets do not
@@ -51,6 +56,7 @@ type ProcCtx struct {
 	params types.Row
 	// in is the consumed batch; its rows are kept only for a border TE.
 	in     stream.Batch
+	stmts  []*ee.Stmt // the procedure's declared statements, compiled here
 	result *Result
 }
 
@@ -72,8 +78,9 @@ func (c *ProcCtx) Partition() int { return c.part.id }
 // SP returns the executing stored procedure's name.
 func (c *ProcCtx) SP() string { return c.ectx.SP }
 
-// Query executes one SQL statement inside the current transaction.
-// Each call crosses the PE→EE boundary once when boundary simulation
+// Query executes one ad hoc SQL statement inside the current
+// transaction; its result is a copy the caller may retain. Each call
+// crosses the PE→EE boundary once when boundary simulation
 // is enabled — the cost EE triggers exist to avoid (§3.2.3): statements
 // run by EE triggers execute inside the EE without re-crossing.
 func (c *ProcCtx) Query(stmt string, params ...types.Value) (*ee.Result, error) {
@@ -84,13 +91,37 @@ func (c *ProcCtx) Query(stmt string, params ...types.Value) (*ee.Result, error) 
 	return c.part.exec.Execute(stmt, p, c.ectx)
 }
 
+// Exec runs the procedure's declared statement i (StoredProc.Stmts)
+// inside the current transaction, crossing the PE→EE boundary and
+// checking the declared access set exactly as Query does. The result
+// is the statement's own scratch: it stays valid until this TE runs
+// statement i again, and at the latest until the TE ends. Copy what
+// must live longer; SetResult copies for you.
+func (c *ProcCtx) Exec(i int, params ...types.Value) (*ee.Result, error) {
+	if i < 0 || i >= len(c.stmts) {
+		return nil, fmt.Errorf("pe: %s declares %d statements, no statement %d", c.ectx.SP, len(c.stmts), i)
+	}
+	p := types.Row(params)
+	if b := c.part.eng.boundary; b != nil {
+		p = b.Cross(p)
+	}
+	return c.part.exec.Exec(c.stmts[i], p, c.ectx)
+}
+
 // SetResult records the result set returned to the caller of
-// Engine.Call.
+// Engine.Call. It copies the rows, so an Exec result may be passed.
 func (c *ProcCtx) SetResult(res *ee.Result) {
 	if res == nil {
 		return
 	}
-	c.result = &Result{Columns: res.Columns, Rows: res.Rows}
+	r := &Result{Columns: append([]string(nil), res.Columns...)}
+	if len(res.Rows) > 0 {
+		r.Rows = make([]types.Row, len(res.Rows))
+		for i, row := range res.Rows {
+			r.Rows[i] = row.Clone()
+		}
+	}
+	c.result = r
 }
 
 // Abort returns an error that aborts the TE with a descriptive reason;

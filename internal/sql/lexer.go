@@ -17,7 +17,9 @@ type Lexer struct {
 // by a TokEOF token.
 func Lex(input string) ([]Token, error) {
 	l := &Lexer{input: input}
-	var toks []Token
+	// A token takes four bytes of SQL on average (a word and its
+	// space, or a symbol): size for that instead of growing from zero.
+	toks := make([]Token, 0, len(input)/4+1)
 	for {
 		tok, err := l.next()
 		if err != nil {

@@ -3,6 +3,7 @@ package sql
 import (
 	"fmt"
 	"strconv"
+	"strings"
 
 	"sstore/internal/types"
 )
@@ -67,10 +68,12 @@ func (p *Parser) errorf(format string, args ...any) error {
 }
 
 // isKeyword reports whether the next token is the given keyword
-// (case-insensitive) without consuming it.
+// (case-insensitive) without consuming it. Identifiers are ASCII, so
+// EqualFold matches exactly what lower-casing would, without
+// allocating a lower-case copy of every candidate token.
 func (p *Parser) isKeyword(kw string) bool {
 	t := p.peek()
-	return t.Kind == TokIdent && lower(t.Text) == kw
+	return t.Kind == TokIdent && strings.EqualFold(t.Text, kw)
 }
 
 // acceptKeyword consumes the keyword if present.

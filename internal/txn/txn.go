@@ -76,9 +76,12 @@ func (t *Txn) RecordInsert(tbl *storage.Table, tid uint64) {
 	t.undo = append(t.undo, undoOp{kind: opInsert, table: tbl, tid: tid})
 }
 
-// RecordDelete implements storage.Undo.
+// RecordDelete implements storage.Undo. It keeps the row itself, not
+// a copy: the table has just dropped it (Delete) or replaced it with a
+// new row (Update), and nothing writes into a row once a table holds
+// it, so rollback restores exactly the values that were there.
 func (t *Txn) RecordDelete(tbl *storage.Table, meta storage.TupleMeta, row types.Row) {
-	t.undo = append(t.undo, undoOp{kind: opDelete, table: tbl, meta: meta, row: row.Clone()})
+	t.undo = append(t.undo, undoOp{kind: opDelete, table: tbl, meta: meta, row: row})
 }
 
 // RecordStage implements storage.Undo.

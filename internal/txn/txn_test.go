@@ -369,3 +369,79 @@ func TestWindowMarkResetRoundTrip(t *testing.T) {
 		t.Errorf("window rows after abort = %v", got)
 	}
 }
+
+// TestAbortRestoresOriginalRows: undo keeps a deleted or replaced row
+// itself rather than a copy, so an aborted DELETE and an aborted UPDATE
+// must restore rows equal to the originals that the table's indexes
+// still find by their old keys — and an UPDATE's new key must be gone.
+func TestAbortRestoresOriginalRows(t *testing.T) {
+	cat := storage.NewCatalog()
+	exec := ee.NewExecutor(cat)
+	ctx := &ee.ExecCtx{}
+	for _, stmt := range []string{
+		"CREATE TABLE acct (id BIGINT PRIMARY KEY, owner VARCHAR, balance BIGINT)",
+		"CREATE INDEX acct_owner ON acct (owner)",
+		"INSERT INTO acct VALUES (1, 'ann', 100), (2, 'bob', 50), (3, 'cat', 7)",
+	} {
+		if _, err := exec.Execute(stmt, nil, ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snapshot := func() []types.Row {
+		res, err := exec.Execute("SELECT id, owner, balance FROM acct ORDER BY id", nil, ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Rows
+	}
+	before := snapshot()
+	for _, stmts := range [][]string{
+		{"DELETE FROM acct WHERE id = 2", "DELETE FROM acct WHERE owner = 'cat'"},
+		{"UPDATE acct SET owner = 'zed', balance = balance + 1 WHERE id = 1"},
+		{"UPDATE acct SET balance = 0 WHERE owner = 'bob'", "DELETE FROM acct WHERE id = 2"},
+	} {
+		tx := New(1)
+		txCtx := &ee.ExecCtx{Txn: tx}
+		for _, stmt := range stmts {
+			if _, err := exec.Execute(stmt, nil, txCtx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tx.Rollback(); err != nil {
+			t.Fatal(err)
+		}
+		after := snapshot()
+		if len(after) != len(before) {
+			t.Fatalf("%v: rows after abort = %v, want %v", stmts, after, before)
+		}
+		for i := range before {
+			if !after[i].Equal(before[i]) {
+				t.Fatalf("%v: row %d after abort = %v, want %v", stmts, i, after[i], before[i])
+			}
+		}
+		for _, r := range before {
+			for _, probe := range []struct {
+				sql string
+				key types.Value
+			}{
+				{"SELECT id, owner, balance FROM acct WHERE id = ?", r[0]},
+				{"SELECT id, owner, balance FROM acct WHERE owner = ?", r[1]},
+			} {
+				res, err := exec.Execute(probe.sql, []types.Value{probe.key}, ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(res.Rows) != 1 || !res.Rows[0].Equal(r) {
+					t.Fatalf("%v: probe %q %v = %v, want %v", stmts, probe.sql, probe.key, res.Rows, r)
+				}
+			}
+		}
+		res, err := exec.Execute("SELECT id FROM acct WHERE owner = 'zed'", nil, ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != 0 {
+			t.Fatalf("%v: aborted update's key still indexed: %v", stmts, res.Rows)
+		}
+	}
+}

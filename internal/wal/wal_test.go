@@ -5,11 +5,13 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"sstore/internal/contend"
 	"sstore/internal/storage"
 	"sstore/internal/types"
 )
@@ -99,6 +101,22 @@ func TestTornTailIgnored(t *testing.T) {
 // left to how the appenders happen to be scheduled: exactly two syncs
 // cover the ten appends, and a logger that syncs per append fails.
 func TestGroupCommitReleasesWaiters(t *testing.T) {
+	checkGroupCommitReleasesWaiters(t)
+}
+
+// TestGroupCommitReleasesWaitersUnderContention repeats the group
+// commit check with spinning goroutines keeping every P busy, where an
+// assumption about how promptly appenders get scheduled would show.
+func TestGroupCommitReleasesWaitersUnderContention(t *testing.T) {
+	stop := contend.Spin(runtime.GOMAXPROCS(0) + 1)
+	defer stop()
+	for i := 0; i < 50 && !t.Failed(); i++ {
+		checkGroupCommitReleasesWaiters(t)
+	}
+}
+
+func checkGroupCommitReleasesWaiters(t *testing.T) {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), "cmd.log")
 	l, err := Open(Options{Path: path, Policy: SyncGroup})
 	if err != nil {

@@ -212,9 +212,11 @@ func (e *Engine) ExecDDL(ddl string) error { return e.pe.ExecDDL(ddl) }
 // WINDOW executed this way is private to that procedure (§3.2.2).
 func (e *Engine) ExecDDLOwned(owner, ddl string) error { return e.pe.ExecDDLOwned(owner, ddl) }
 
-// RegisterProc registers a stored procedure.
-func (e *Engine) RegisterProc(name string, fn ProcFunc) error {
-	return e.pe.RegisterProc(&pe.StoredProc{Name: name, Func: fn})
+// RegisterProc registers a stored procedure. Optional stmts declare
+// the body's SQL, compiled once at registration and run by index with
+// ctx.Exec (§3.1); bodies that only use ctx.Query declare none.
+func (e *Engine) RegisterProc(name string, fn ProcFunc, stmts ...string) error {
+	return e.pe.RegisterProc(&pe.StoredProc{Name: name, Func: fn, Stmts: stmts})
 }
 
 // RegisterProcAccess registers a stored procedure together with its
