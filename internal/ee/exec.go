@@ -172,15 +172,17 @@ func (e *Executor) InvalidatePlans() {
 	declared := e.declared
 	e.mu.Unlock()
 	for _, s := range declared {
-		s.p, s.err = e.Prepare(s.text)
+		s.p, s.err = e.compileText(s.text)
 	}
 }
 
-// Declare compiles a stored procedure's statement once (sharing the
-// plan cache's entry) and keeps it current across InvalidatePlans. DDL
-// cannot be declared.
+// Declare compiles a stored procedure's statement once and keeps it
+// current across InvalidatePlans. The statement gets its own compiled
+// plan and scratch, not the plan cache's entry for its text, so no
+// ad hoc run, EE trigger or other declaration of the same text can
+// overwrite a result it handed out. DDL cannot be declared.
 func (e *Executor) Declare(text string) (*Stmt, error) {
-	p, err := e.Prepare(text)
+	p, err := e.compileText(text)
 	if err != nil {
 		return nil, err
 	}
@@ -279,11 +281,7 @@ func (e *Executor) Prepare(text string) (*prepared, error) {
 	if ok {
 		return p, nil
 	}
-	stmt, err := sql.Parse(text)
-	if err != nil {
-		return nil, err
-	}
-	p, err = e.compile(stmt)
+	p, err := e.compileText(text)
 	if err != nil {
 		return nil, err
 	}
@@ -331,6 +329,15 @@ func selTables(p *selectPlan) []string {
 		tbls = append(tbls, j.table)
 	}
 	return tbls
+}
+
+// compileText parses and compiles one statement, bypassing the cache.
+func (e *Executor) compileText(text string) (*prepared, error) {
+	stmt, err := sql.Parse(text)
+	if err != nil {
+		return nil, err
+	}
+	return e.compile(stmt)
 }
 
 func (e *Executor) compile(stmt sql.Statement) (*prepared, error) {
@@ -523,15 +530,7 @@ func (e *Executor) Execute(text string, params []types.Value, ctx *ExecCtx) (*Re
 	if err != nil {
 		return nil, err
 	}
-	sc := p.claim(ctx, false)
-	res, err := e.run(p, sc, params, ctx)
-	if err == nil {
-		res = res.clone()
-	}
-	if sc != nil {
-		p.done()
-	}
-	return res, err
+	return e.runStmt(p, params, ctx, runQuery)
 }
 
 // Exec runs a declared statement under the given execution context.
@@ -542,13 +541,7 @@ func (e *Executor) Exec(s *Stmt, params []types.Value, ctx *ExecCtx) (*Result, e
 	if s.err != nil {
 		return nil, s.err
 	}
-	p := s.p
-	sc := p.claim(ctx, true)
-	res, err := e.run(p, sc, params, ctx)
-	if sc != nil {
-		p.done()
-	}
-	return res, err
+	return e.runStmt(s.p, params, ctx, runDeclared)
 }
 
 // execTrigger runs an EE trigger's statement, whose result nobody
@@ -558,12 +551,33 @@ func (e *Executor) execTrigger(text string, params []types.Value, ctx *ExecCtx) 
 	if err != nil {
 		return err
 	}
-	sc := p.claim(ctx, false)
-	_, err = e.run(p, sc, params, ctx)
+	_, err = e.runStmt(p, params, ctx, runTrigger)
+	return err
+}
+
+// runKind says how long a run holds its statement's scratch and what
+// becomes of its result (see prepared.claim).
+type runKind uint8
+
+const (
+	runQuery    runKind = iota // claim for the run; the result is copied out before release
+	runDeclared                // claim until ctx is Reset; the result stays in scratch
+	runTrigger                 // claim for the run; nobody reads the result
+)
+
+// runStmt runs p under ctx on the statement's own scratch when ctx can
+// claim it, else on fresh scratch.
+func (e *Executor) runStmt(p *prepared, params []types.Value, ctx *ExecCtx, kind runKind) (*Result, error) {
+	sc := p.claim(ctx, kind == runDeclared)
+	res, err := e.run(p, sc, params, ctx)
+	if err == nil && kind == runQuery {
+		res = res.Clone()
+	}
 	if sc != nil {
+		sc.trim()
 		p.done()
 	}
-	return err
+	return res, err
 }
 
 // run executes p once on sc, or on fresh scratch when sc is nil (the

@@ -1181,7 +1181,11 @@ func (s *aggSink) finish(sc *selScratch, env *evalEnv) error {
 		g := &s.groups[i]
 		n := copy(synthetic, g.key)
 		for j := range g.accs {
-			synthetic[n+j] = g.accs[j].result()
+			a := &g.accs[j]
+			synthetic[n+j] = a.result()
+			if len(a.seen) > maxScratchValues {
+				a.seen = nil // a large COUNT(DISTINCT) set is not kept for the next run
+			}
 		}
 		if err := sc.out.addGroup(env); err != nil {
 			return err

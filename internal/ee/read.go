@@ -48,6 +48,7 @@ type MaintainedRef struct {
 // after compilation and safe for concurrent Run calls.
 type ReadPlan struct {
 	sel    *selectPlan
+	names  []string // the plan's tables by position: base, then each join's inner
 	tables []string // referenced tables, lower-case, base first, deduped
 	sorted []string // same set in sorted order — the latch acquisition order
 }
@@ -73,7 +74,7 @@ func CompileReadOnly(text string, cat *storage.Catalog) (*ReadPlan, error) {
 		// reads scan the view's resolved window instead.
 		plan.maintained, plan.groupKeys = nil, nil
 	}
-	rp := &ReadPlan{sel: plan}
+	rp := &ReadPlan{sel: plan, names: selTables(plan)}
 	seen := map[string]bool{}
 	add := func(name string) {
 		key := lowerName(name)
@@ -127,9 +128,9 @@ func (p *ReadPlan) Run(cat *storage.Catalog, params []types.Value) (*Result, err
 	if p.sel.maintained != nil {
 		return nil, fmt.Errorf("ee: maintained-aggregate plan requires RunMaintained")
 	}
-	names := selTables(p.sel)
-	tables := make([]*storage.Table, len(names))
-	for i, name := range names {
+	r := new(readRun)
+	tables := r.tables[:0]
+	for _, name := range p.names {
 		t, err := cat.Get(name)
 		if err != nil {
 			return nil, err
@@ -137,14 +138,24 @@ func (p *ReadPlan) Run(cat *storage.Catalog, params []types.Value) (*Result, err
 		if t.Kind() == storage.KindWindow && t.OwnerSP != "" {
 			return nil, fmt.Errorf("ee: window %s is private to stored procedure %s (accessed from read view)", lowerName(name), t.OwnerSP)
 		}
-		tables[i] = t
+		tables = append(tables, t)
 	}
-	res, err := p.sel.run(tables, new(selScratch), &evalEnv{params: params})
+	r.env.params = params
+	res, err := p.sel.run(tables, &r.sc, &r.env)
 	if err != nil {
 		return nil, err
 	}
 	res.Columns = append([]string(nil), res.Columns...)
 	return res, nil
+}
+
+// readRun is one snapshot read's working memory, allocated as one
+// object: its scratch, environment, and room for the resolved tables
+// of a plan with up to three joins.
+type readRun struct {
+	sc     selScratch
+	env    evalEnv
+	tables [4]*storage.Table
 }
 
 // RunMaintained serves a maintained-aggregate plan from captured

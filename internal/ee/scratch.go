@@ -59,6 +59,18 @@ func (sc *scratch) setParams(params []types.Value) {
 	sc.env = evalEnv{params: sc.params}
 }
 
+// trim lets go of the buffers a large run grew past what the scratch
+// keeps between runs (see maxScratchValues). The output arena and the
+// aggregation groups trim themselves as their run ends.
+func (sc *scratch) trim() {
+	if cap(sc.tids) > maxScratchValues {
+		sc.tids = nil
+	}
+	if cap(sc.inserted) > maxScratchValues {
+		sc.inserted = nil
+	}
+}
+
 // dropInserted forgets the rows an INSERT handed to its table.
 func (sc *scratch) dropInserted() {
 	clear(sc.inserted)
@@ -108,10 +120,10 @@ func (ctx *ExecCtx) releaseClaims() {
 	ctx.claims = ctx.claims[:0]
 }
 
-// clone copies a result into fresh memory that the caller may retain:
+// Clone copies a result into fresh memory that the caller may retain:
 // the Columns, the row slice, and every row's values (one backing
 // array, each row capped so an append cannot reach its neighbour).
-func (r *Result) clone() *Result {
+func (r *Result) Clone() *Result {
 	out := &Result{RowsAffected: r.RowsAffected}
 	if r.Columns != nil {
 		out.Columns = append([]string(nil), r.Columns...)

@@ -216,6 +216,23 @@ func TestExecResultLifetime(t *testing.T) {
 		t.Fatalf("Execute result changed by a later run: %v", q1.Rows)
 	}
 
+	// Runs of the same text that are not this statement — an Execute in
+	// the same execution, another declaration of the text — leave its
+	// result alone: a declared statement's scratch is its own.
+	twin, err := e.Declare(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Execute(text, []types.Value{types.NewInt(5)}, ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Exec(twin, []types.Value{types.NewInt(6)}, ctx); err != nil {
+		t.Fatal(err)
+	}
+	if first.Rows[0][0].Int() != 2 {
+		t.Fatalf("a run of the same text overwrote the declared statement's result: %v", first.Rows)
+	}
+
 	// Reset ends the execution and frees the scratch for the next one.
 	ctx.Reset("", 0, nil, nil)
 	next := &ExecCtx{}
@@ -228,45 +245,67 @@ func TestExecResultLifetime(t *testing.T) {
 	}
 }
 
-// TestExecReentrantTrigger: an EE trigger on the stream a declared
-// INSERT … SELECT feeds re-runs that very statement. The inner run
-// must fall back to fresh scratch and leave the outer run's scratch —
-// its parameters, rows and result — alone.
+// TestExecReentrantTrigger: an EE trigger on the stream an INSERT …
+// SELECT feeds re-runs that very statement text. Run ad hoc, the outer
+// and the inner run share the plan cache's compiled statement, so the
+// inner run must fall back to fresh scratch and leave the outer run's
+// — its parameters, rows and result — alone. Run as a declared
+// statement, the outer run is on the statement's own scratch, which
+// the trigger's cached plan never touches.
 func TestExecReentrantTrigger(t *testing.T) {
-	e := newTestExec(t)
-	mustExec(t, e, "CREATE TABLE src (v BIGINT)")
-	mustExec(t, e, "CREATE STREAM s (v BIGINT)")
-	mustExec(t, e, "CREATE TABLE fired (n BIGINT)")
-	mustExec(t, e, "INSERT INTO src VALUES (1), (2), (3), (99)")
 	const feed = "INSERT INTO s SELECT v FROM src WHERE v < ? ORDER BY v"
-	// Trigger statements get ?1 = the batch ID (1): the inner run of
-	// feed selects v < 1, inserts nothing and fires nothing further.
-	if err := e.AddTrigger(&Trigger{Table: "s", Stmts: []string{
-		"INSERT INTO fired SELECT COUNT(*) FROM s",
-		feed,
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	s, err := e.Declare(feed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := &ExecCtx{BatchID: 1}
-	res, err := e.Exec(s, []types.Value{types.NewInt(4)}, ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.RowsAffected != 3 {
-		t.Fatalf("outer run affected %d rows, want 3", res.RowsAffected)
-	}
-	if got := mustExec(t, e, "SELECT n FROM fired").Rows; len(got) != 1 || got[0][0].Int() != 3 {
-		t.Fatalf("trigger saw %v, want one firing over 3 rows", got)
-	}
-	if sc := &s.p.sc; sc.running || len(sc.params) != 1 || sc.params[0].Int() != 4 {
-		t.Fatalf("outer scratch after the run: running %v, params %v; want idle with [4]", sc.running, sc.params)
-	}
-	if n := mustExec(t, e, "SELECT COUNT(*) FROM s").Rows[0][0].Int(); n != 0 {
-		t.Fatalf("stream keeps %d rows after its trigger consumed the batch", n)
+	for _, declared := range []bool{false, true} {
+		t.Run(fmt.Sprintf("declared=%v", declared), func(t *testing.T) {
+			e := newTestExec(t)
+			mustExec(t, e, "CREATE TABLE src (v BIGINT)")
+			mustExec(t, e, "CREATE STREAM s (v BIGINT)")
+			mustExec(t, e, "CREATE TABLE fired (n BIGINT)")
+			mustExec(t, e, "INSERT INTO src VALUES (1), (2), (3), (99)")
+			// Trigger statements get ?1 = the batch ID (1): the inner run
+			// of feed selects v < 1, inserts nothing and fires nothing
+			// further.
+			if err := e.AddTrigger(&Trigger{Table: "s", Stmts: []string{
+				"INSERT INTO fired SELECT COUNT(*) FROM s",
+				feed,
+			}}); err != nil {
+				t.Fatal(err)
+			}
+			ctx := &ExecCtx{BatchID: 1}
+			params := []types.Value{types.NewInt(4)}
+			var outer *prepared // the compiled statement the outer run used
+			var res *Result
+			if declared {
+				s, err := e.Declare(feed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				outer = s.p
+				res, err = e.Exec(s, params, ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				var err error
+				if res, err = e.Execute(feed, params, ctx); err != nil {
+					t.Fatal(err)
+				}
+				if outer, err = e.Prepare(feed); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if res.RowsAffected != 3 {
+				t.Fatalf("outer run affected %d rows, want 3", res.RowsAffected)
+			}
+			if got := mustExec(t, e, "SELECT n FROM fired").Rows; len(got) != 1 || got[0][0].Int() != 3 {
+				t.Fatalf("trigger saw %v, want one firing over 3 rows", got)
+			}
+			if sc := &outer.sc; sc.running || len(sc.params) != 1 || sc.params[0].Int() != 4 {
+				t.Fatalf("outer scratch after the run: running %v, params %v; want idle with [4]", sc.running, sc.params)
+			}
+			if n := mustExec(t, e, "SELECT COUNT(*) FROM s").Rows[0][0].Int(); n != 0 {
+				t.Fatalf("stream keeps %d rows after its trigger consumed the batch", n)
+			}
+		})
 	}
 }
 
@@ -321,5 +360,55 @@ func TestCompiledInsertMallocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(1000, run); n != 1 {
 		t.Errorf("INSERT … VALUES: %.0f allocs/run, want exactly 1 (the stored row)", n)
+	}
+}
+
+// TestScratchTrimmedAfterLargeRun: a run that grows a statement's
+// scratch past maxScratchValues — a large DELETE's matched TIDs, a large
+// INSERT … SELECT's rows, a large COUNT(DISTINCT) set — lets it go when
+// the run ends, so one large statement does not pin its memory for the
+// life of the plan.
+func TestScratchTrimmedAfterLargeRun(t *testing.T) {
+	e := newTestExec(t)
+	mustExec(t, e, "CREATE TABLE big (k BIGINT, g BIGINT)")
+	mustExec(t, e, "CREATE TABLE copy (k BIGINT, g BIGINT)")
+	const n = 2*maxScratchValues + 10
+	for k := 0; k < n; k++ {
+		mustExec(t, e, "INSERT INTO big VALUES (?, ?)", types.NewInt(int64(k)), types.NewInt(int64(k%2)))
+	}
+	ctx := &ExecCtx{}
+	decl := func(text string) *Stmt {
+		s, err := e.Declare(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	distinct := decl("SELECT g, COUNT(DISTINCT k) FROM big GROUP BY g ORDER BY g")
+	res, err := e.Exec(distinct, nil, ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 2 || res.Rows[0][1].Int() != n/2 {
+		t.Fatalf("COUNT(DISTINCT) = %v, want %d per group", res.Rows, n/2)
+	}
+	for _, g := range distinct.p.sc.sel.agg.groups {
+		if g.accs[0].seen != nil {
+			t.Errorf("group %v keeps a %d-entry DISTINCT set", g.key, len(g.accs[0].seen))
+		}
+	}
+	ins := decl("INSERT INTO copy SELECT k, g FROM big")
+	if res, err := e.Exec(ins, nil, ctx); err != nil || res.RowsAffected != n {
+		t.Fatalf("INSERT … SELECT: %v, %v", res, err)
+	}
+	if c := cap(ins.p.sc.inserted); c > maxScratchValues {
+		t.Errorf("INSERT keeps room for %d rows", c)
+	}
+	del := decl("DELETE FROM copy WHERE k >= ?")
+	if res, err := e.Exec(del, []types.Value{types.NewInt(0)}, ctx); err != nil || res.RowsAffected != n {
+		t.Fatalf("DELETE: %v, %v", res, err)
+	}
+	if c := cap(del.p.sc.tids); c > maxScratchValues {
+		t.Errorf("DELETE keeps room for %d TIDs", c)
 	}
 }

@@ -715,6 +715,15 @@ func (p *partition) executeNested(t *task) {
 	}
 	var runs []childRun
 	var lastResult *Result
+	// Every child's context goes back to the pool once the group has
+	// committed or rolled back: recycling resets it, which releases the
+	// declared-statement scratch its Exec runs claimed.
+	var ectxs []*ee.ExecCtx
+	defer func() {
+		for _, ectx := range ectxs {
+			p.recycleECtx(ectx)
+		}
+	}()
 	rollbackAll := func() {
 		for i := len(runs) - 1; i >= 0; i-- {
 			_ = runs[i].tx.Rollback()
@@ -729,8 +738,10 @@ func (p *partition) executeNested(t *task) {
 		}
 		p.nextTxn++
 		tx := txn.New(p.nextTxn)
-		ectx := &ee.ExecCtx{SP: child.sp, BatchID: t.in.ID, Txn: tx}
-		pc := &ProcCtx{part: p, ectx: ectx, params: child.params, in: stream.Batch{ID: t.in.ID}}
+		ectx := p.getECtx()
+		ectx.Reset(child.sp, t.in.ID, tx, nil)
+		ectxs = append(ectxs, ectx)
+		pc := &ProcCtx{part: p, ectx: ectx, params: child.params, in: stream.Batch{ID: t.in.ID}, stmts: p.stmts[child.sp]}
 		if err := sp.Func(pc); err != nil {
 			_ = tx.Rollback()
 			rollbackAll()

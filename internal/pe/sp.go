@@ -114,14 +114,8 @@ func (c *ProcCtx) SetResult(res *ee.Result) {
 	if res == nil {
 		return
 	}
-	r := &Result{Columns: append([]string(nil), res.Columns...)}
-	if len(res.Rows) > 0 {
-		r.Rows = make([]types.Row, len(res.Rows))
-		for i, row := range res.Rows {
-			r.Rows[i] = row.Clone()
-		}
-	}
-	c.result = r
+	cp := res.Clone()
+	c.result = &Result{Columns: cp.Columns, Rows: cp.Rows}
 }
 
 // Abort returns an error that aborts the TE with a descriptive reason;

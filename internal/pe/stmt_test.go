@@ -128,3 +128,76 @@ func TestBorderBatchFiresTriggerPerRow(t *testing.T) {
 		}
 	}
 }
+
+// TestNestedChildRunsDeclaredStmts: a nested transaction's children run
+// their procedures' declared statements, and the group hands the
+// statements' scratch back when it commits or rolls back. A TE that
+// runs one declared statement twice gets the same Result both times
+// only when it works on the statement's own scratch, so an ordinary TE
+// after the groups checks that no child kept it. (Within a group, a
+// later child of the same procedure may run on fresh scratch: the
+// earlier child's claim lasts until the group ends.)
+func TestNestedChildRunsDeclaredStmts(t *testing.T) {
+	e := newEngine(t, Options{})
+	if err := e.ExecDDL("CREATE TABLE kv (k BIGINT PRIMARY KEY, v BIGINT)"); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.RegisterProc(&StoredProc{
+		Name:  "Put",
+		Stmts: []string{"INSERT INTO kv VALUES (?, ?)", "SELECT v FROM kv WHERE k = ?"},
+		Func: func(ctx *ProcCtx) error {
+			k, v, ownScratch := ctx.Params()[0], ctx.Params()[1], ctx.Params()[2].Int() == 1
+			if _, err := ctx.Exec(0, k, v); err != nil {
+				return err
+			}
+			a, err := ctx.Exec(1, k)
+			if err != nil {
+				return err
+			}
+			b, err := ctx.Exec(1, k)
+			if err != nil {
+				return err
+			}
+			if len(b.Rows) != 1 || b.Rows[0][0].Int() != v.Int() {
+				return fmt.Errorf("read back %v after writing %v", b.Rows, v)
+			}
+			if ownScratch && a != b {
+				return fmt.Errorf("the second run got fresh scratch: the statement's own is still claimed")
+			}
+			if v.Int() < 0 {
+				return ctx.Abort("negative value")
+			}
+			ctx.SetResult(b)
+			return nil
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	put := func(k, v, ownScratch int64) types.Row {
+		return types.Row{types.NewInt(k), types.NewInt(v), types.NewInt(ownScratch)}
+	}
+	res, err := e.CallNested([]NestedCall{{SP: "Put", Params: put(1, 10, 0)}, {SP: "Put", Params: put(2, 20, 0)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 1 || res.Rows[0][0].Int() != 20 {
+		t.Fatalf("nested group replied %v, want the last child's [20]", res.Rows)
+	}
+	if _, err := e.CallNested([]NestedCall{{SP: "Put", Params: put(3, 30, 0)}, {SP: "Put", Params: put(4, -1, 0)}}); err == nil {
+		t.Fatal("a child's abort must fail the group")
+	}
+	if _, err := e.Call("Put", put(5, 50, 1)); err != nil {
+		t.Fatal(err)
+	}
+	res2, err := e.AdHoc(0, "SELECT k FROM kv ORDER BY k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []int64
+	for _, r := range res2.Rows {
+		keys = append(keys, r[0].Int())
+	}
+	if fmt.Sprint(keys) != "[1 2 5]" {
+		t.Fatalf("keys %v, want [1 2 5]: the committed group and the ordinary call only", keys)
+	}
+}
