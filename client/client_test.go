@@ -41,7 +41,7 @@ func overloadedServer(t *testing.T, hint time.Duration) (addr string, attempts *
 					return
 				}
 				for {
-					payload, err := wire.ReadFrame(br)
+					payload, err := wire.ReadFrameBuf(br, nil)
 					if err != nil {
 						return
 					}

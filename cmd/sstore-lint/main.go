@@ -1,7 +1,8 @@
-// Command sstore-lint runs the engine's invariant suite — replaydet,
-// lockorder, hotalloc, errdrop, allocgate, replyexit — over the module and prints
-// findings in the usual file:line:col form. It exits non-zero when any
-// diagnostic survives suppression, so CI can gate on it:
+// Command sstore-lint runs the engine's invariant suite (analysis.Suite:
+// replaydet, lockorder, hotalloc, errdrop, allocgate, replyexit,
+// unused) over the module and prints findings in the usual
+// file:line:col form. It exits non-zero when any diagnostic survives
+// suppression, so CI can gate on it:
 //
 //	go run ./cmd/sstore-lint ./...
 //
@@ -21,15 +22,6 @@ import (
 	"sstore/internal/analysis"
 )
 
-var suite = []*analysis.Analyzer{
-	analysis.ReplayDet,
-	analysis.LockOrder,
-	analysis.HotAlloc,
-	analysis.ErrDrop,
-	analysis.AllocGate,
-	analysis.ReplyExit,
-}
-
 func main() {
 	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
 	list := flag.Bool("list", false, "list analyzers and exit")
@@ -37,7 +29,7 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		for _, a := range suite {
+		for _, a := range analysis.Suite {
 			fmt.Printf("%-10s %s\n", a.Name, a.Doc)
 		}
 		return
@@ -70,10 +62,10 @@ func main() {
 
 func selectAnalyzers(only string) ([]*analysis.Analyzer, error) {
 	if only == "" {
-		return suite, nil
+		return analysis.Suite, nil
 	}
-	byName := make(map[string]*analysis.Analyzer, len(suite))
-	for _, a := range suite {
+	byName := make(map[string]*analysis.Analyzer, len(analysis.Suite))
+	for _, a := range analysis.Suite {
 		byName[a.Name] = a
 	}
 	var out []*analysis.Analyzer

@@ -15,8 +15,9 @@ import (
 	"sstore/internal/leaderboard"
 )
 
+var votes = flag.Int("votes", 5000, "number of votes to cast")
+
 func main() {
-	votes := flag.Int("votes", 5000, "number of votes to cast")
 	flag.Parse()
 
 	eng, err := sstore.Open(sstore.Config{})

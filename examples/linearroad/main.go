@@ -16,10 +16,13 @@ import (
 	"sstore/internal/linearroad"
 )
 
+var (
+	xways   = flag.Int("xways", 4, "number of expressways")
+	cores   = flag.Int("cores", 2, "number of partitions (cores)")
+	reports = flag.Int("reports", 20000, "position reports to feed")
+)
+
 func main() {
-	xways := flag.Int("xways", 4, "number of expressways")
-	cores := flag.Int("cores", 2, "number of partitions (cores)")
-	reports := flag.Int("reports", 20000, "position reports to feed")
 	flag.Parse()
 
 	eng, err := sstore.Open(sstore.Config{

@@ -1,8 +1,9 @@
 // Package analysis is the engine's invariant suite: a small,
 // dependency-free reimplementation of the golang.org/x/tools/go/analysis
 // surface (the container image builds offline, so the x/tools module is
-// unavailable) plus six engine-specific analyzers that lock down the
-// invariants S-Store's recovery guarantee rests on:
+// unavailable) plus seven engine-specific analyzers. Six lock down the
+// invariants S-Store's recovery guarantee rests on; the seventh keeps
+// internal code from outliving its readers:
 //
 //   - replaydet: code reachable from the replay/commit/trigger entry
 //     points must be deterministic — re-execution of the command log
@@ -21,6 +22,8 @@
 //   - replyexit: a TE's reply value may be sent only from the
 //     partition's release path, so pipelined group commit can hold
 //     every reply until the log is durable.
+//   - unused: every declaration of an internal package has a reader
+//     in the module's non-test code.
 //
 // Annotation conventions (documented in DESIGN.md §10):
 //
@@ -41,6 +44,10 @@ import (
 	"sort"
 	"strings"
 )
+
+// Suite is the full invariant suite: what cmd/sstore-lint runs by
+// default and TestSelfLint runs over the repository.
+var Suite = []*Analyzer{ReplayDet, LockOrder, HotAlloc, ErrDrop, AllocGate, ReplyExit, Unused}
 
 // Analyzer is one invariant checker. Unlike x/tools analyzers, Run sees
 // the whole program at once: whole-program call graphs are the natural

@@ -70,6 +70,8 @@ func CheckFixture(root string, analyzers []*Analyzer) (unmatchedWants []string, 
 }
 
 // RunFixture is the testing wrapper: any mismatch fails the test.
+//
+//lint:allow unused -- test support: analysis tests
 func RunFixture(t *testing.T, root string, analyzers ...*Analyzer) {
 	t.Helper()
 	unmatched, unexpected, err := CheckFixture(root, analyzers)

@@ -73,3 +73,7 @@ func TestErrDropFixture(t *testing.T) {
 		},
 	}))
 }
+
+func TestUnusedFixture(t *testing.T) {
+	RunFixture(t, "testdata/unused", Unused)
+}

@@ -14,7 +14,7 @@ func TestSelfLint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loading module: %v", err)
 	}
-	diags := Run(prog, []*Analyzer{ReplayDet, LockOrder, HotAlloc, ErrDrop, AllocGate, ReplyExit})
+	diags := Run(prog, Suite)
 	for _, d := range diags {
 		t.Errorf("%s", d)
 	}

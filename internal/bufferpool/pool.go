@@ -37,9 +37,6 @@ type Frame struct {
 	valid   bool
 }
 
-// Block returns the block the frame currently holds.
-func (fr *Frame) Block() page.BlockID { return fr.block }
-
 // ErrNoFrames reports that every frame is pinned; with call-scoped
 // pins this means the pool was sized below the handful of frames one
 // operation touches.

@@ -123,7 +123,7 @@ func TestPeersRedeliverCompletesOnce(t *testing.T) {
 		conn = c
 		close(ready)
 		for {
-			payload, err := wire.ReadFrame(br)
+			payload, err := wire.ReadFrameBuf(br, nil)
 			if err != nil {
 				return
 			}

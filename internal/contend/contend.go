@@ -12,6 +12,8 @@ import (
 // Spin starts n goroutines that burn CPU until the returned stop
 // function is called; stop waits for all of them to exit. Tests call
 // it with a small n (GOMAXPROCS + 1 keeps every P busy) and defer stop.
+//
+//lint:allow unused -- test support: wal tests
 func Spin(n int) (stop func()) {
 	var quit atomic.Bool
 	var wg sync.WaitGroup

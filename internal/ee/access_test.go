@@ -25,14 +25,14 @@ func accessExec(t *testing.T) *Executor {
 
 func mustAccess(t *testing.T, e *Executor, stmt string) *AccessSet {
 	t.Helper()
-	acc, err := e.StatementAccess(stmt)
+	p, err := e.Prepare(stmt)
 	if err != nil {
-		t.Fatalf("StatementAccess(%q): %v", stmt, err)
+		t.Fatalf("Prepare(%q): %v", stmt, err)
 	}
-	if acc == nil {
-		t.Fatalf("StatementAccess(%q) = nil for non-DDL", stmt)
+	if p.access == nil {
+		t.Fatalf("Prepare(%q).access = nil for non-DDL", stmt)
 	}
-	return acc
+	return p.access
 }
 
 func TestStatementAccessEmission(t *testing.T) {
@@ -61,8 +61,10 @@ func TestStatementAccessEmission(t *testing.T) {
 		}
 	}
 	// DDL has no bounded footprint.
-	if acc, err := e.StatementAccess("CREATE TABLE zz (id INT)"); err != nil || acc != nil {
-		t.Fatalf("DDL access = %v, %v; want nil, nil", acc, err)
+	if p, err := e.Prepare("CREATE TABLE zz (id INT)"); err != nil {
+		t.Fatal(err)
+	} else if p.access != nil {
+		t.Fatalf("DDL access = %v, want nil", p.access)
 	}
 }
 

@@ -130,9 +130,6 @@ func NewExecutor(cat *storage.Catalog) *Executor {
 	}
 }
 
-// Catalog returns the underlying catalog.
-func (e *Executor) Catalog() *storage.Catalog { return e.cat }
-
 // AddTrigger attaches an EE trigger to its table. Windows accept EE
 // triggers; streams accept EE triggers; plain tables do not (§3.2.3).
 func (e *Executor) AddTrigger(tr *Trigger) error {
@@ -293,17 +290,6 @@ func (e *Executor) Prepare(text string) (*prepared, error) {
 	e.plans[text] = p
 	e.mu.Unlock()
 	return p, nil
-}
-
-// StatementAccess compiles a statement (caching its plan) and returns
-// its table-granularity access set; nil for DDL, whose footprint the
-// planner does not bound.
-func (e *Executor) StatementAccess(text string) (*AccessSet, error) {
-	p, err := e.Prepare(text)
-	if err != nil {
-		return nil, err
-	}
-	return p.access, nil
 }
 
 // accessSet builds a statement's access set, reclassifying window

@@ -69,7 +69,7 @@ func newMixExec(t *testing.T) *Executor {
 	mustExec(t, e, "CREATE INDEX kv_g ON kv (g)")
 	mustExec(t, e, "CREATE TABLE dst (k BIGINT, g BIGINT, v BIGINT)")
 	mustExec(t, e, "CREATE WINDOW w (k BIGINT, v BIGINT) SIZE 8 SLIDE 2")
-	w, err := e.Catalog().Get("w")
+	w, err := e.cat.Get("w")
 	if err != nil {
 		t.Fatal(err)
 	}

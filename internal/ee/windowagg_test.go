@@ -13,7 +13,7 @@ import (
 // does.
 func maintainTestAggs(t *testing.T, e *Executor, table string) {
 	t.Helper()
-	tbl, err := e.Catalog().Get(table)
+	tbl, err := e.cat.Get(table)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestMaintainedAggregateExpressions(t *testing.T) {
 func TestMaintainedAggregateNotUsedWhenIneligible(t *testing.T) {
 	e := newTestExec(t)
 	mustExec(t, e, "CREATE WINDOW w (k BIGINT, v BIGINT) SIZE 4 SLIDE 2")
-	tbl, _ := e.Catalog().Get("w")
+	tbl, _ := e.cat.Get("w")
 	if err := tbl.MaintainAggregate(storage.AggSum, 1); err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,7 @@ func scanTwin(q string) string {
 // need and drops cached plans, as pe.MaintainWindowAggregate does.
 func maintainGrouped(t *testing.T, e *Executor) {
 	t.Helper()
-	tbl, err := e.Catalog().Get("w")
+	tbl, err := e.cat.Get("w")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,14 +91,14 @@ func checkGroupedMatchesScan(t *testing.T, e *Executor, step string) {
 		if !sameResult(got, want) {
 			t.Fatalf("%s: %q\nmaintained %v\nscan       %v", step, q.sql, got.Rows, want.Rows)
 		}
-		rp, err := CompileReadOnly(q.sql, e.Catalog())
+		rp, err := CompileReadOnly(q.sql, e.cat)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, _, ok := rp.Maintained(); ok {
 			t.Fatalf("read plan for %q claims pinned values; grouped reads must scan the view", q.sql)
 		}
-		read, err := rp.Run(e.Catalog(), q.params)
+		read, err := rp.Run(e.cat, q.params)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,7 +131,7 @@ func TestGroupedMaintainedMatchesScan(t *testing.T) {
 			size := 3 + rng.Int63n(6)
 			slide := 1 + rng.Int63n(size)
 			mustExec(t, e, fmt.Sprintf("CREATE WINDOW w (k BIGINT, v BIGINT) SIZE %d SLIDE %d", size, slide))
-			tbl, _ := e.Catalog().Get("w")
+			tbl, _ := e.cat.Get("w")
 			insert := func(ctx *ExecCtx) {
 				if _, err := e.Execute("INSERT INTO w VALUES (?, ?)", []types.Value{randValue(rng, 0, 4), randValue(rng, -5, 25)}, ctx); err != nil {
 					t.Fatal(err)

@@ -14,6 +14,8 @@ import (
 // Check fails t unless got is byte-identical to the golden file at
 // path. On a mismatch it writes got to a file under t.TempDir() and
 // reports that file's path and the first differing byte offset.
+//
+//lint:allow unused -- test support: page and wal golden tests
 func Check(t testing.TB, path string, got []byte) {
 	t.Helper()
 	want, err := os.ReadFile(path)

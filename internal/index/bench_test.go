@@ -61,18 +61,3 @@ func BenchmarkHashIndexLookup(b *testing.B) {
 		h.Lookup(keys[i&(1<<16-1)])
 	}
 }
-
-func BenchmarkBTreeRangeScan(b *testing.B) {
-	bt := NewBTree("b", []int{0}, false)
-	for i := 0; i < 1<<14; i++ {
-		_ = bt.Insert(Key{types.NewInt(int64(i))}, uint64(i))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n := 0
-		bt.Range(nil, nil, func(Key, uint64) bool {
-			n++
-			return true
-		})
-	}
-}

@@ -7,8 +7,7 @@ import "sort"
 const btreeOrder = 32
 
 // BTree is an ordered index: a B+tree whose leaves hold (key, tupleIDs)
-// entries and are linked for range scans. It supports exact lookups,
-// bounded range scans, and min/max access in O(log n).
+// entries. It supports exact lookups in O(log n).
 type BTree struct {
 	name    string
 	columns []int
@@ -20,8 +19,6 @@ type BTree struct {
 type btreeNode interface {
 	// findLeaf descends to the leaf that would contain key.
 	findLeaf(key Key) *leafNode
-	// minLeaf returns the left-most leaf under the node.
-	minLeaf() *leafNode
 }
 
 type innerNode struct {
@@ -34,7 +31,6 @@ type innerNode struct {
 type leafNode struct {
 	keys []Key
 	tids [][]uint64
-	next *leafNode
 }
 
 // NewBTree creates an empty B+tree index over the given column ordinals.
@@ -64,10 +60,7 @@ func (n *innerNode) findLeaf(key Key) *leafNode {
 	return n.children[i].findLeaf(key)
 }
 
-func (n *innerNode) minLeaf() *leafNode { return n.children[0].minLeaf() }
-
 func (n *leafNode) findLeaf(Key) *leafNode { return n }
-func (n *leafNode) minLeaf() *leafNode     { return n }
 
 // search returns the position of key in the leaf and whether it is
 // present.
@@ -121,11 +114,9 @@ func insertRec(n btreeNode, key Key, tid uint64) (Key, btreeNode) {
 		right := &leafNode{
 			keys: append([]Key(nil), n.keys[mid:]...),
 			tids: append([][]uint64(nil), n.tids[mid:]...),
-			next: n.next,
 		}
 		n.keys = n.keys[:mid:mid]
 		n.tids = n.tids[:mid:mid]
-		n.next = right
 		return right.keys[0], right
 	case *innerNode:
 		i := sort.Search(len(n.keys), func(i int) bool { return CompareKeys(n.keys[i], key) > 0 })
@@ -158,7 +149,7 @@ func insertRec(n btreeNode, key Key, tid uint64) (Key, btreeNode) {
 
 // Delete implements Index. Leaves may become under-full; the tree trades
 // strict rebalancing for simplicity (deleted keys are removed, empty
-// leaves persist until their parent collapses), which keeps scans
+// leaves persist until their parent collapses), which keeps lookups
 // correct and delete O(log n). Tables in this engine are churn-heavy
 // stream/window state where keys are continuously re-inserted, so
 // under-full leaves are transient.
@@ -190,105 +181,4 @@ func (t *BTree) Lookup(key Key) []uint64 {
 		return leaf.tids[i]
 	}
 	return nil
-}
-
-// Range calls fn for each (key, tupleID) with lo <= key <= hi in
-// ascending key order. A nil lo means unbounded below; a nil hi means
-// unbounded above. fn returning false stops the scan.
-func (t *BTree) Range(lo, hi Key, fn func(key Key, tid uint64) bool) {
-	var leaf *leafNode
-	var start int
-	if lo == nil {
-		leaf = t.root.minLeaf()
-	} else {
-		leaf = t.root.findLeaf(lo)
-		start, _ = leaf.search(lo)
-	}
-	for leaf != nil {
-		for i := start; i < len(leaf.keys); i++ {
-			if hi != nil && CompareKeys(leaf.keys[i], hi) > 0 {
-				return
-			}
-			for _, tid := range leaf.tids[i] {
-				if !fn(leaf.keys[i], tid) {
-					return
-				}
-			}
-		}
-		leaf = leaf.next
-		start = 0
-	}
-}
-
-// Min returns the smallest key and its tuple IDs, or ok=false when the
-// tree is empty.
-func (t *BTree) Min() (Key, []uint64, bool) {
-	for leaf := t.root.minLeaf(); leaf != nil; leaf = leaf.next {
-		if len(leaf.keys) > 0 {
-			return leaf.keys[0], leaf.tids[0], true
-		}
-	}
-	return nil, nil, false
-}
-
-// Max returns the largest key and its tuple IDs, or ok=false when the
-// tree is empty.
-func (t *BTree) Max() (Key, []uint64, bool) {
-	var bestKey Key
-	var bestTids []uint64
-	for leaf := t.root.minLeaf(); leaf != nil; leaf = leaf.next {
-		if len(leaf.keys) > 0 {
-			bestKey = leaf.keys[len(leaf.keys)-1]
-			bestTids = leaf.tids[len(leaf.tids)-1]
-		}
-	}
-	if bestKey == nil {
-		return nil, nil, false
-	}
-	return bestKey, bestTids, true
-}
-
-// Clone implements Index: nodes, leaf links, and tid slices are
-// copied; key values are shared (immutable).
-func (t *BTree) Clone() Index {
-	c := &BTree{
-		name:    t.name,
-		columns: append([]int(nil), t.columns...),
-		unique:  t.unique,
-		entries: t.entries,
-	}
-	var prev *leafNode
-	c.root = cloneNode(t.root, &prev)
-	return c
-}
-
-// cloneNode deep-copies a subtree, re-linking leaves left to right via
-// prev (leaves are visited in ascending key order).
-func cloneNode(n btreeNode, prev **leafNode) btreeNode {
-	switch n := n.(type) {
-	case *leafNode:
-		c := &leafNode{
-			keys: append([]Key(nil), n.keys...),
-			tids: make([][]uint64, len(n.tids)),
-		}
-		for i, tids := range n.tids {
-			c.tids[i] = append([]uint64(nil), tids...)
-		}
-		if *prev != nil {
-			(*prev).next = c
-		}
-		*prev = c
-		return c
-	case *innerNode:
-		c := &innerNode{
-			keys:     append([]Key(nil), n.keys...),
-			children: make([]btreeNode, len(n.children)),
-		}
-		for i, child := range n.children {
-			c.children[i] = cloneNode(child, prev)
-		}
-		return c
-	default:
-		panic("index: unknown btree node type")
-	}
 }

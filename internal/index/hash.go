@@ -99,24 +99,3 @@ func (h *HashIndex) Lookup(key Key) []uint64 {
 	}
 	return nil
 }
-
-// Clone implements Index: buckets, entries, and tid slices are copied;
-// key values are shared (immutable).
-func (h *HashIndex) Clone() Index {
-	c := &HashIndex{
-		name:    h.name,
-		columns: append([]int(nil), h.columns...),
-		unique:  h.unique,
-		buckets: make(map[uint64][]hashEntry, len(h.buckets)),
-		entries: h.entries,
-	}
-	//lint:allow replaydet -- each iteration builds a fresh bucket keyed by the loop var; the output map is identical under any visit order
-	for hash, bucket := range h.buckets {
-		nb := make([]hashEntry, len(bucket))
-		for i, e := range bucket {
-			nb[i] = hashEntry{key: e.key, tids: append([]uint64(nil), e.tids...)}
-		}
-		c.buckets[hash] = nb
-	}
-	return c
-}

@@ -32,10 +32,6 @@ type Index interface {
 	Lookup(key Key) []uint64
 	// Len returns the number of (key, tupleID) entries.
 	Len() int
-	// Clone returns an independent deep copy (key values are shared —
-	// they are immutable); the snapshot read path detaches table
-	// images with their indexes so index probes work against them.
-	Clone() Index
 }
 
 // ErrDuplicateKey is returned by Insert on a unique index when the key

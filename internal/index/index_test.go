@@ -106,66 +106,25 @@ func TestBTreeContract(t *testing.T) {
 	})
 }
 
-func TestBTreeRange(t *testing.T) {
-	bt := NewBTree("b", []int{0}, true)
-	for i := int64(0); i < 1000; i += 2 {
-		if err := bt.Insert(intKey(i), uint64(i)); err != nil {
-			t.Fatal(err)
+// scan visits the tree's entries in key order by an in-order walk of
+// its nodes.
+func scan(bt *BTree, fn func(key Key, tid uint64)) {
+	var walk func(n btreeNode)
+	walk = func(n btreeNode) {
+		switch n := n.(type) {
+		case *leafNode:
+			for i, k := range n.keys {
+				for _, tid := range n.tids[i] {
+					fn(k, tid)
+				}
+			}
+		case *innerNode:
+			for _, c := range n.children {
+				walk(c)
+			}
 		}
 	}
-	var got []uint64
-	bt.Range(intKey(10), intKey(20), func(_ Key, tid uint64) bool {
-		got = append(got, tid)
-		return true
-	})
-	want := []uint64{10, 12, 14, 16, 18, 20}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Errorf("Range(10,20) = %v, want %v", got, want)
-	}
-
-	// Unbounded below.
-	got = got[:0]
-	bt.Range(nil, intKey(4), func(_ Key, tid uint64) bool {
-		got = append(got, tid)
-		return true
-	})
-	if fmt.Sprint(got) != fmt.Sprint([]uint64{0, 2, 4}) {
-		t.Errorf("Range(nil,4) = %v", got)
-	}
-
-	// Unbounded above, early stop.
-	count := 0
-	bt.Range(intKey(990), nil, func(_ Key, _ uint64) bool {
-		count++
-		return count < 3
-	})
-	if count != 3 {
-		t.Errorf("early stop scanned %d entries, want 3", count)
-	}
-}
-
-func TestBTreeMinMax(t *testing.T) {
-	bt := NewBTree("b", []int{0}, true)
-	if _, _, ok := bt.Min(); ok {
-		t.Error("Min on empty tree should report !ok")
-	}
-	if _, _, ok := bt.Max(); ok {
-		t.Error("Max on empty tree should report !ok")
-	}
-	perm := rand.New(rand.NewSource(7)).Perm(500)
-	for _, v := range perm {
-		if err := bt.Insert(intKey(int64(v)), uint64(v)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	k, _, ok := bt.Min()
-	if !ok || k[0].Int() != 0 {
-		t.Errorf("Min = %v, want 0", k)
-	}
-	k, _, ok = bt.Max()
-	if !ok || k[0].Int() != 499 {
-		t.Errorf("Max = %v, want 499", k)
-	}
+	walk(bt.root)
 }
 
 // TestBTreeVsReferenceModel drives the B+tree and a map-based reference
@@ -217,16 +176,15 @@ func TestBTreeVsReferenceModel(t *testing.T) {
 	// entries.
 	var prev int64 = -1
 	n := 0
-	bt.Range(nil, nil, func(key Key, _ uint64) bool {
+	scan(bt, func(key Key, _ uint64) {
 		if key[0].Int() < prev {
-			t.Fatalf("range scan out of order: %d after %d", key[0].Int(), prev)
+			t.Fatalf("scan out of order: %d after %d", key[0].Int(), prev)
 		}
 		prev = key[0].Int()
 		n++
-		return true
 	})
 	if n != refLen {
-		t.Fatalf("range scan visited %d entries, want %d", n, refLen)
+		t.Fatalf("scan visited %d entries, want %d", n, refLen)
 	}
 }
 
@@ -246,13 +204,12 @@ func TestBTreeSortedInsertScan(t *testing.T) {
 			}
 			var prev int64 = -1
 			n := 0
-			bt.Range(nil, nil, func(key Key, _ uint64) bool {
+			scan(bt, func(key Key, _ uint64) {
 				if key[0].Int() != prev+1 {
 					t.Fatalf("gap in scan: %d after %d", key[0].Int(), prev)
 				}
 				prev = key[0].Int()
 				n++
-				return true
 			})
 			if n != 10000 {
 				t.Fatalf("scanned %d entries, want 10000", n)

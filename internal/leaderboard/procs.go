@@ -228,21 +228,7 @@ func deleteProc(cfg Config, readStream bool) pe.ProcFunc {
 	}
 }
 
-// Winner returns the final winner once a single active contestant
-// remains; ok=false otherwise. Query runs ad-hoc statements (e.g.
-// Engine.Query bound to one partition).
-func Winner(query func(sql string, params ...types.Value) (*QueryRows, error)) (int64, bool, error) {
-	res, err := query("SELECT id FROM contestants WHERE active = true")
-	if err != nil {
-		return 0, false, err
-	}
-	if len(res.Rows) != 1 {
-		return 0, false, nil
-	}
-	return res.Rows[0][0].Int(), true, nil
-}
-
-// QueryRows is the minimal result shape Winner needs.
+// QueryRows is the minimal result shape Validate needs.
 type QueryRows struct {
 	Rows []types.Row
 }

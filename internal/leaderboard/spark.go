@@ -128,17 +128,6 @@ func (s *SparkLeaderboard) ProcessBatch(rows []types.Row) (int, error) {
 	return valid.Count(), nil
 }
 
-// Trending returns the current trending leaderboard.
-func (s *SparkLeaderboard) Trending() []Standing { return append([]Standing(nil), s.tops...) }
-
-// Totals returns the current per-contestant totals, sorted descending.
-func (s *SparkLeaderboard) Totals() []Standing {
-	return topK(s.totals.Collect(), s.cfg.Contestants)
-}
-
-// VotesRecorded returns the size of the recorded-votes state.
-func (s *SparkLeaderboard) VotesRecorded() int { return s.votes.Count() }
-
 func topK(rows []types.Row, k int) []Standing {
 	out := make([]Standing, 0, len(rows))
 	for _, r := range rows {

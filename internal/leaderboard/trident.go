@@ -17,9 +17,9 @@ import (
 // managed by hand as a ring buffer in the store (§4.6.3: "the lack of
 // built-in windowing functionality curbs its overall performance").
 type TridentLeaderboard struct {
-	cfg      Config
-	trident  *stormlike.Trident
-	topology *stormlike.Topology
+	cfg     Config
+	trident *stormlike.Trident
+	state   *stormlike.KVStore
 	// Validation toggles the phone check, mirroring Figure 10's two
 	// variants.
 	Validation bool
@@ -39,11 +39,8 @@ const winHeadKey = "win:head"
 func NewTridentLeaderboard(cfg Config, hop time.Duration, validation bool) *TridentLeaderboard {
 	cfg = cfg.withDefaults()
 	t := &TridentLeaderboard{cfg: cfg, Validation: validation}
-	state := stormlike.NewKVStore(hop)
-	t.trident = stormlike.NewTrident(state, t.processBatch)
-	// The underlying Storm topology (used for its acking machinery in
-	// the at-least-once path); Trident drives batches through it.
-	t.topology = stormlike.NewTopology()
+	t.state = stormlike.NewKVStore(hop)
+	t.trident = stormlike.NewTrident(t.state, t.processBatch)
 	return t
 }
 
@@ -127,20 +124,3 @@ func (t *TridentLeaderboard) processBatch(txid int64, rows []types.Row, s *storm
 	t.tops = topK(rowsOut, t.cfg.TopK)
 	return nil
 }
-
-// Trending returns the current trending leaderboard.
-func (t *TridentLeaderboard) Trending() []Standing { return append([]Standing(nil), t.tops...) }
-
-// Total returns a contestant's vote total.
-func (t *TridentLeaderboard) Total(contestant int64) int64 {
-	if v, ok := t.trident.State().Get(totalKey(contestant)); ok {
-		return v[0].Int()
-	}
-	return 0
-}
-
-// StateOps returns the number of external-store operations performed.
-func (t *TridentLeaderboard) StateOps() uint64 { return t.trident.State().Ops() }
-
-// Committed returns the number of committed batches.
-func (t *TridentLeaderboard) Committed() uint64 { return t.trident.Committed() }

@@ -90,11 +90,12 @@ func TestConflictOpsAllocFree(t *testing.T) {
 // to end at steady state: a two-row batch through a border SP into a
 // full 512-row sliding window. Some allocation is by design, so this
 // is a ceiling, not zero: the four rows the stream and the window keep,
-// the batch's own structures in Engine.ingest, the copy Query returns,
-// and the stream GC's victim list keep it near 11.4 on a 2-vCPU x86-64
-// host (statements run on their compiled scratch, and pooled tasks,
-// contexts and version chains allocate nothing). The bound of 15 fails
-// on any new per-batch allocation that is not a stored row.
+// the batch's own structures in Engine.ingest and the copy Query
+// returns keep it near 9.4 on a 2-vCPU x86-64 host (statements run on
+// their compiled scratch; pooled tasks, contexts and version chains,
+// and the stream GC's table-owned victim list allocate nothing). The
+// bound of 11 fails on any new per-batch allocation that is not a
+// stored row.
 func TestIngestSteadyMallocsBounded(t *testing.T) {
 	eng, err := NewEngine(Options{})
 	if err != nil {
@@ -146,7 +147,7 @@ func TestIngestSteadyMallocsBounded(t *testing.T) {
 	}
 	perBatch := float64(m1.Mallocs-m0.Mallocs) / n
 	t.Logf("steady ingest: %.1f mallocs/batch", perBatch)
-	if perBatch >= 15 {
-		t.Fatalf("steady ingest allocates %.1f/batch, want < 15", perBatch)
+	if perBatch >= 11 {
+		t.Fatalf("steady ingest allocates %.1f/batch, want < 11", perBatch)
 	}
 }

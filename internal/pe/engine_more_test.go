@@ -134,7 +134,7 @@ func TestGroupCommitEndToEnd(t *testing.T) {
 	}
 	// Sharding is real: both partitions' logs hold records.
 	for pid := 0; pid < 2; pid++ {
-		recs, err := wal.ReadAll(wal.PartitionPath(dir+"/cmd.log", pid))
+		recs, err := readLog(wal.PartitionPath(dir+"/cmd.log", pid))
 		if err != nil || len(recs) == 0 {
 			t.Errorf("partition %d log: %d records (%v)", pid, len(recs), err)
 		}

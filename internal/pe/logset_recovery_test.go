@@ -1,6 +1,7 @@
 package pe
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -84,7 +85,7 @@ func TestShardedRecoveryRoutedWorkflow(t *testing.T) {
 
 	// All four partition logs exist and carry records.
 	for pid := 0; pid < parts; pid++ {
-		recs, err := wal.ReadAll(wal.PartitionPath(dir, pid))
+		recs, err := readLog(wal.PartitionPath(dir, pid))
 		if err != nil || len(recs) == 0 {
 			t.Fatalf("partition %d log: %d records (%v)", pid, len(recs), err)
 		}
@@ -211,7 +212,7 @@ func TestShardedRecoveryCompactionThenReplay(t *testing.T) {
 	stamp := e1.logs.LastSeq()
 	// Every shard is truncated against the snapshot stamp.
 	for pid := 0; pid < parts; pid++ {
-		recs, err := wal.ReadAll(wal.PartitionPath(dir, pid))
+		recs, err := readLog(wal.PartitionPath(dir, pid))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -318,10 +319,23 @@ func TestCheckpointGroundsInFlightRelocatedBatch(t *testing.T) {
 	}
 	ckpt := make(chan error, 1)
 	go func() { ckpt <- e1.Checkpoint() }()
-	// Give the checkpoint time to park partition 1 (if it has not
-	// parked yet the carrying task is consumed live and the test
-	// passes vacuously rather than flaking).
-	time.Sleep(50 * time.Millisecond)
+	// Open the gate only once partition 1 is parked at the barrier:
+	// the engine's outstanding work is the gate, the border TE and both
+	// barriers, and partition 1 has popped its own. The carrying task
+	// then queues behind the barrier.
+	outstanding := func() int64 {
+		e1.idle.mu.Lock()
+		defer e1.idle.mu.Unlock()
+		return e1.idle.n
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for outstanding() != 4 || e1.parts[1].sched.Len() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("partition 1 not parked at the checkpoint barrier: %d tasks outstanding, %d queued on partition 1",
+				outstanding(), e1.parts[1].sched.Len())
+		}
+		time.Sleep(time.Millisecond)
+	}
 	close(gate)
 	if err := <-ckpt; err != nil {
 		t.Fatal(err)
@@ -336,6 +350,13 @@ func TestCheckpointGroundsInFlightRelocatedBatch(t *testing.T) {
 		t.Fatalf("live results = %v, want value 77 on partition 1", got)
 	}
 	e1.Close()
+	// The barrier grounded the batch, so its consumer committed after
+	// the snapshot stamp: the consumer's record survived the
+	// checkpoint's log truncation. A consumer that ran before the
+	// checkpoint would have been truncated away with its record.
+	if recs, err := readLog(wal.PartitionPath(dir, 1)); err != nil || len(recs) != 1 || recs[0].SP != "Work" {
+		t.Fatalf("partition 1 log after the checkpoint = %v (%v), want only the consumer's Work record", recs, err)
+	}
 
 	e2 := newEngine(t, opts)
 	deployRoutedPipeline(t, e2)
@@ -582,7 +603,7 @@ func TestShardedRecoveryFanOutPartialCrash(t *testing.T) {
 	// Log: border Produce, interior ConsumerA, interior ConsumerB.
 	// Clip ConsumerB's record: it is as if its TE never committed.
 	truncateLastRecord(t, wal.PartitionPath(dir, 0))
-	recs, err := wal.ReadAll(wal.PartitionPath(dir, 0))
+	recs, err := readLog(wal.PartitionPath(dir, 0))
 	if err != nil || len(recs) != 2 || recs[1].SP != "ConsumerA" {
 		t.Fatalf("clipped log = %v (%v), want [Produce ConsumerA]", recs, err)
 	}
@@ -666,5 +687,26 @@ func TestRecoverWithoutSnapshotDirIgnoresWorkingDir(t *testing.T) {
 	}
 	if got := len(resultsAcross(t, e2, 2)); got != 4 {
 		t.Errorf("recovered %d results, want 4", got)
+	}
+}
+
+// readLog returns every intact record of one partition's log, stopping
+// cleanly at a torn tail.
+func readLog(path string) ([]*wal.Record, error) {
+	r, err := wal.OpenReader(path)
+	if err != nil {
+		return nil, err
+	}
+	defer r.Close()
+	var recs []*wal.Record
+	for {
+		rec, err := r.Next()
+		if err == io.EOF {
+			return recs, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		recs = append(recs, rec)
 	}
 }

@@ -112,7 +112,13 @@ func TestPipelinedGroupCommitSaturation(t *testing.T) {
 	if err := e.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	if durable, last := e.part(0).log.Durable(), e.logs.LastSeq(); durable != last {
+	// The log reports durability to the release queue before it wakes
+	// WaitDurable, so the queue's mark is the log's durable LSN here.
+	q := e.part(0).release
+	q.mu.Lock()
+	durable := q.durable
+	q.mu.Unlock()
+	if last := e.logs.LastSeq(); durable != last {
 		t.Errorf("Drain returned with the log durable at %d, last sequence %d", durable, last)
 	}
 	for i, ack := range acks {
@@ -331,7 +337,7 @@ func TestSyncFailureFailsEngineReplies(t *testing.T) {
 	}
 	p := e.part(0)
 	injected := errors.New("injected sync failure")
-	p.release.release(p.log.Durable(), injected)
+	p.release.release(0, injected)
 
 	if _, err := e.Call("Put", types.Row{types.NewInt(2)}); !errors.Is(err, injected) {
 		t.Errorf("Call after the failure = %v, want the sync error", err)

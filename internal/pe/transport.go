@@ -21,8 +21,6 @@ import (
 // clusterTransport (a cluster map splits partitions across nodes;
 // remote deliveries ride cluster.Peers over the wire protocol).
 type PartitionTransport interface {
-	// Owns reports whether the partition runs in this process.
-	Owns(pid int) bool
 	// Deliver hands a relocated batch to partition target, which owns
 	// the batch's consumers for it. retained=false means delivery is
 	// complete and the caller must drop its local copy of the batch
@@ -61,8 +59,6 @@ func (e *Engine) deliverLocal(target int, b stream.Batch) error {
 // in-process, Deliver is a direct push, nothing is ever retained.
 type localTransport struct{ e *Engine }
 
-func (lt localTransport) Owns(int) bool { return true }
-
 func (lt localTransport) Deliver(from, target int, b stream.Batch) (bool, error) {
 	return false, lt.e.deliverLocal(target, b)
 }
@@ -82,8 +78,6 @@ type clusterTransport struct {
 	cfg   *cluster.Config
 	peers *cluster.Peers
 }
-
-func (ct *clusterTransport) Owns(pid int) bool { return ct.e.part(pid) != nil }
 
 func (ct *clusterTransport) Deliver(from, target int, b stream.Batch) (bool, error) {
 	if ct.e.part(target) != nil {

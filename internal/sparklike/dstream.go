@@ -1,121 +1,6 @@
 package sparklike
 
-import (
-	"fmt"
-
-	"sstore/internal/types"
-)
-
-// BatchFunc is one micro-batch computation: it receives the input
-// batch and the current state RDD and returns the batch's output and
-// the *new* state RDD. State is immutable between batches — producing
-// the new state means building a new RDD, which is exactly the
-// "high overhead for transactional workloads that require many
-// fine-grained update operations" the paper attributes to the
-// RDD-based model (§5).
-type BatchFunc func(ctx *Context, input *RDD, state *RDD) (output *RDD, newState *RDD, err error)
-
-// DStream executes a discretized stream: arriving tuples are grouped
-// into interval batches, each processed atomically by a BatchFunc. The
-// engine checkpoints state every CheckpointEvery batches and truncates
-// lineage, mirroring Spark Streaming's asynchronous checkpointing.
-type DStream struct {
-	ctx   *Context
-	fn    BatchFunc
-	state *RDD
-
-	// CheckpointEvery is the checkpoint cadence in batches (default
-	// 10).
-	CheckpointEvery int
-
-	batches     int64
-	checkpoints int64
-	checkpoint  []types.Row // last checkpointed state image
-
-	// window of retained micro-batch inputs for interval-window
-	// operators (D-Streams express windows as unions of recent
-	// batches).
-	retain  int
-	history []*RDD
-}
-
-// NewDStream builds a D-Stream engine over a context.
-func NewDStream(ctx *Context, fn BatchFunc) *DStream {
-	return &DStream{ctx: ctx, fn: fn, state: ctx.Empty(), CheckpointEvery: 10}
-}
-
-// SetWindow retains the last n micro-batch inputs for WindowRDD; n=0
-// disables retention.
-func (d *DStream) SetWindow(n int) { d.retain = n }
-
-// WindowRDD returns the union of the last n retained inputs — the
-// D-Stream windowing construct (time-interval based, batch
-// granularity; the model "hinders ... tuple-based windowing
-// operations", §5).
-func (d *DStream) WindowRDD() *RDD {
-	if len(d.history) == 0 {
-		return d.ctx.Empty()
-	}
-	out := d.history[0]
-	for _, r := range d.history[1:] {
-		out = d.ctx.Union(out, r)
-	}
-	return out
-}
-
-// State returns the current state RDD.
-func (d *DStream) State() *RDD { return d.state }
-
-// Batches returns the number of processed micro-batches.
-func (d *DStream) Batches() int64 { return d.batches }
-
-// Checkpoints returns the number of checkpoints taken.
-func (d *DStream) Checkpoints() int64 { return d.checkpoints }
-
-// ProcessBatch runs one micro-batch job to completion: the whole batch
-// is processed atomically (the paper's closest analog to a
-// transaction, §4.6.1), producing output rows and the next state.
-func (d *DStream) ProcessBatch(rows []types.Row) ([]types.Row, error) {
-	input := d.ctx.Parallelize(rows)
-	if d.retain > 0 {
-		d.history = append(d.history, input)
-		if len(d.history) > d.retain {
-			d.history = d.history[1:]
-		}
-	}
-	out, newState, err := d.fn(d.ctx, input, d.state)
-	if err != nil {
-		// Deterministic recomputation: a failed batch leaves state
-		// untouched and can be retried, giving exactly-once at batch
-		// granularity.
-		return nil, fmt.Errorf("sparklike: batch %d: %w", d.batches+1, err)
-	}
-	d.state = newState
-	d.batches++
-	if d.CheckpointEvery > 0 && d.batches%int64(d.CheckpointEvery) == 0 {
-		d.doCheckpoint()
-	}
-	if out == nil {
-		return nil, nil
-	}
-	return out.Collect(), nil
-}
-
-// doCheckpoint serializes state and truncates lineage.
-func (d *DStream) doCheckpoint() {
-	d.checkpoint = d.state.Collect()
-	d.ctx.TruncateLineage()
-	d.checkpoints++
-}
-
-// RecoverFromCheckpoint rebuilds state from the last checkpoint,
-// discarding everything after it; callers then replay the input
-// batches since that point (the replicated-input half of D-Stream
-// recovery).
-func (d *DStream) RecoverFromCheckpoint() {
-	d.state = d.ctx.Parallelize(d.checkpoint)
-	d.history = nil
-}
+import "sstore/internal/types"
 
 // UpdateStateByKey is the standard Spark Streaming stateful operator:
 // it merges the batch into keyed state by rebuilding the state RDD.

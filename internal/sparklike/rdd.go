@@ -1,15 +1,14 @@
-// Package sparklike is a faithful miniature of Spark Streaming's
-// D-Stream model (§4.6.1, §5 of the paper), built as a comparison
-// baseline: computations are series of deterministic transformations
-// over immutable, partitioned datasets (RDDs), state is carried between
+// Package sparklike is a miniature of Spark Streaming's D-Stream model
+// (§4.6.1, §5 of the paper), built as a comparison baseline:
+// computations are series of deterministic transformations over
+// immutable, partitioned datasets (RDDs), state is carried between
 // micro-batches as RDDs (so every fine-grained update pays a
-// copy-on-write), lineage is tracked for fault tolerance and truncated
-// by periodic checkpoints, and there is no indexing over state — the
-// property that dominates the paper's Figure 10 comparison.
+// copy-on-write), every transformation records a lineage node, and
+// there is no indexing over state — the property that dominates the
+// paper's Figure 10 comparison.
 package sparklike
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -19,15 +18,13 @@ import (
 // RDD is an immutable, partitioned collection of rows. Transformations
 // return new RDDs and record lineage; they never mutate their input.
 type RDD struct {
-	id         int64
 	partitions [][]types.Row
 	lineage    *Lineage
 }
 
 // Lineage is one node in the dependency graph used for recomputation
 // after failures. The paper notes the graph "gets bigger as each
-// operation needs to be logged" — Context.LineageSize exposes that
-// growth.
+// operation needs to be logged".
 type Lineage struct {
 	Op      string
 	Parents []*Lineage
@@ -39,7 +36,6 @@ type Lineage struct {
 type Context struct {
 	parallelism int
 	nextID      atomic.Int64
-	lineageSize atomic.Int64
 }
 
 // NewContext creates a context with the given worker parallelism
@@ -51,18 +47,9 @@ func NewContext(parallelism int) *Context {
 	return &Context{parallelism: parallelism}
 }
 
-// LineageSize returns the number of lineage nodes created since the
-// last checkpoint truncation.
-func (c *Context) LineageSize() int64 { return c.lineageSize.Load() }
-
-// TruncateLineage models checkpoint-driven lineage truncation.
-func (c *Context) TruncateLineage() { c.lineageSize.Store(0) }
-
 func (c *Context) newRDD(op string, parts [][]types.Row, parents ...*Lineage) *RDD {
 	id := c.nextID.Add(1)
-	c.lineageSize.Add(1)
 	return &RDD{
-		id:         id,
 		partitions: parts,
 		lineage:    &Lineage{Op: op, Parents: parents, RDDID: id},
 	}
@@ -119,17 +106,6 @@ func (c *Context) Filter(r *RDD, fn func(types.Row) bool) *RDD {
 			if fn(row) {
 				out = append(out, row)
 			}
-		}
-		return out
-	})
-}
-
-// FlatMap applies fn to every row and concatenates the results.
-func (c *Context) FlatMap(r *RDD, fn func(types.Row) []types.Row) *RDD {
-	return c.mapPartitions("flatmap", r, func(rows []types.Row) []types.Row {
-		var out []types.Row
-		for _, row := range rows {
-			out = append(out, fn(row)...)
 		}
 		return out
 	})
@@ -238,9 +214,6 @@ func (r *RDD) Count() int {
 	return n
 }
 
-// Lineage returns the RDD's lineage node.
-func (r *RDD) Lineage() *Lineage { return r.lineage }
-
 // Lookup scans the whole RDD for rows whose column col equals v. This
 // is deliberately a full scan: "Spark Streaming provides no method of
 // indexing over state" (§4.6.3), which is the bottleneck the paper's
@@ -255,12 +228,4 @@ func (r *RDD) Lookup(col int, v types.Value) []types.Row {
 		}
 	}
 	return out
-}
-
-// Validate sanity-checks partition structure; used by tests.
-func (r *RDD) Validate() error {
-	if len(r.partitions) == 0 {
-		return fmt.Errorf("sparklike: RDD %d has no partitions", r.id)
-	}
-	return nil
 }

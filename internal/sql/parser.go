@@ -35,25 +35,6 @@ func Parse(input string) (Statement, error) {
 	return stmt, nil
 }
 
-// NumParams reports how many '?' placeholders the last Parse call saw.
-// Exposed through ParseWithParams for plan caching.
-func ParseWithParams(input string) (Statement, int, error) {
-	toks, err := Lex(input)
-	if err != nil {
-		return nil, 0, err
-	}
-	p := &Parser{toks: toks}
-	stmt, err := p.parseStatement()
-	if err != nil {
-		return nil, 0, err
-	}
-	p.acceptSymbol(";")
-	if p.peek().Kind != TokEOF {
-		return nil, 0, p.errorf("unexpected %s after statement", p.peek())
-	}
-	return stmt, p.numParams, nil
-}
-
 func (p *Parser) peek() Token { return p.toks[p.pos] }
 func (p *Parser) advance() Token {
 	t := p.toks[p.pos]

@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"fmt"
 	"testing"
 
 	"sstore/internal/types"
@@ -242,9 +243,21 @@ func TestExpressionForms(t *testing.T) {
 }
 
 func TestParamCounting(t *testing.T) {
-	_, n, err := ParseWithParams("SELECT a FROM t WHERE x = ? AND y = ? AND z = ?")
-	if err != nil || n != 3 {
-		t.Errorf("params = %d, %v", n, err)
+	sel := mustParse(t, "SELECT a FROM t WHERE x = ? AND y = ? AND z = ? LIMIT ?").(*Select)
+	var got []int
+	var walk func(e Expr)
+	walk = func(e Expr) {
+		switch e := e.(type) {
+		case *Binary:
+			walk(e.Left)
+			walk(e.Right)
+		case *Param:
+			got = append(got, e.Index)
+		}
+	}
+	walk(sel.Where)
+	if fmt.Sprint(got) != "[0 1 2]" || sel.LimitParam != 3 {
+		t.Errorf("param indexes = %v, LIMIT ? = %d; want [0 1 2], 3", got, sel.LimitParam)
 	}
 }
 

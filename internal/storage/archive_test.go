@@ -297,61 +297,3 @@ func TestTruncateUnderPinRace(t *testing.T) {
 		t.Errorf("%d version chains left after truncate race", len(tbl.olds))
 	}
 }
-
-// TestDropMidPinDrainsRing is the satellite-2 regression: dropping
-// (and recreating) a table while a view is pinned must not strand the
-// dropped table's retired versions in the ring until the pin closes —
-// the drop makes them unreachable, so the next boundary reclaims them.
-func TestDropMidPinDrainsRing(t *testing.T) {
-	cat, v, tbl := viewFixture(t)
-	runTask(v, func() {
-		for i := int64(0); i < 8; i++ {
-			if _, err := tbl.Insert(types.Row{types.NewInt(i)}, 0, nil); err != nil {
-				t.Fatal(err)
-			}
-		}
-	})
-	rv := v.Pin()
-	defer rv.Close()
-	// Mutations under the pin queue versions on the ring.
-	runTask(v, func() {
-		for i := int64(0); i < 8; i++ {
-			if err := tbl.Update(uint64(i+1), types.Row{types.NewInt(i + 100)}, nil); err != nil {
-				t.Fatal(err)
-			}
-		}
-	})
-	if v.RetiredLen() == 0 {
-		t.Fatal("no versions queued under pin")
-	}
-	if err := cat.Drop("t"); err != nil {
-		t.Fatal(err)
-	}
-	// Recreate under the same name: the new table must be unaffected by
-	// the old one's reclamation.
-	schema, err := types.NewSchema(types.Column{Name: "v", Kind: types.KindInt})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh := NewTable("t", KindTable, schema)
-	if err := cat.Create(fresh); err != nil {
-		t.Fatal(err)
-	}
-	runTask(v, func() {
-		if _, err := fresh.Insert(types.Row{types.NewInt(7)}, 0, nil); err != nil {
-			t.Fatal(err)
-		}
-	})
-	// The pin is still open, yet the dropped table's entries must be
-	// gone: the next boundary sweeps them regardless of pin coverage.
-	runTask(v, func() {})
-	if n := v.RetiredLen(); n != 0 {
-		t.Errorf("ring holds %d entries for a dropped table while pinned", n)
-	}
-	if len(tbl.olds) != 0 {
-		t.Errorf("dropped table keeps %d version chains", len(tbl.olds))
-	}
-	if got := rowCount(t, fresh); got != 1 {
-		t.Errorf("recreated table has %d rows, want 1", got)
-	}
-}

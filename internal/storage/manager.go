@@ -91,26 +91,6 @@ func (c *Catalog) Lookup(name string) (*Table, bool) {
 	return t, ok
 }
 
-// Drop removes a table. The read-view registry is told so the table's
-// queued version-chain entries are reclaimed even while pins are open
-// (nothing can resolve the table once it leaves the map).
-func (c *Catalog) Drop(name string) error {
-	c.mu.Lock()
-	key := strings.ToLower(name)
-	t, ok := c.tables[key]
-	if !ok {
-		c.mu.Unlock()
-		return fmt.Errorf("storage: no such table %q", name)
-	}
-	delete(c.tables, key)
-	v := c.views
-	c.mu.Unlock()
-	if v != nil {
-		v.noteDropped(t)
-	}
-	return nil
-}
-
 // SetArchiveProvider installs the hook that materializes the
 // partition's archive site (buffer pool + page-file directory) on
 // first use.
@@ -200,8 +180,16 @@ func PendingBatches(t *Table) []int64 {
 // DeleteBatch removes every tuple of an atomic batch from a stream
 // table; this is the automatic garbage collection that runs once the
 // batch has been consumed downstream (§3.2.3).
+//
+// The victims list reuses the table's scratch. That is safe because a
+// table's stream GC runs on one goroutine at a time: its partition's
+// dispatcher (post-commit GC), recovery, or the body of the TE that
+// wrote the stream (an EE trigger's GC). A Workers wave runs bodies
+// concurrently only when their declared write sets are disjoint, the
+// stream is in its writer's set, and the dispatcher waits for the
+// whole wave before it retires any member.
 func DeleteBatch(t *Table, batchID int64, undo Undo) int {
-	var victims []uint64
+	victims := t.gcVictims[:0]
 	t.Scan(func(meta TupleMeta, _ types.Row) bool {
 		if meta.BatchID == batchID {
 			victims = append(victims, meta.TID)
@@ -211,5 +199,6 @@ func DeleteBatch(t *Table, batchID int64, undo Undo) int {
 	for _, tid := range victims {
 		_, _ = t.Delete(tid, undo)
 	}
+	t.gcVictims = victims[:0]
 	return len(victims)
 }

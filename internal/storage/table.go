@@ -99,6 +99,8 @@ type Table struct {
 	tombs   map[uint64]struct{}
 	indexes []index.Index
 	nextTID uint64
+	// gcVictims is DeleteBatch's scratch list of a batch's TIDs.
+	gcVictims []uint64
 
 	window *WindowState // non-nil iff kind == KindWindow
 
@@ -422,28 +424,6 @@ func (t *Table) indexNames() []string {
 		names[i] = idx.Name()
 	}
 	return names
-}
-
-// IndexOn returns an index whose leading columns exactly match cols, or
-// nil.
-func (t *Table) IndexOn(cols []int) index.Index {
-	for _, idx := range t.indexes {
-		ic := idx.Columns()
-		if len(ic) != len(cols) {
-			continue
-		}
-		match := true
-		for i := range ic {
-			if ic[i] != cols[i] {
-				match = false
-				break
-			}
-		}
-		if match {
-			return idx
-		}
-	}
-	return nil
 }
 
 // Indexes returns the attached indexes. Versioned shims carry none:

@@ -50,9 +50,7 @@ import (
 // (O(#aggregates)), so aggregate reads never touch the live window at
 // all — the O(1) read path. Truncate-under-pin is just a bulk
 // mutation: every live row's pre-image goes onto its chain and the
-// ring reclaims them like any other version. Dropped tables get their
-// ring entries reclaimed eagerly (noteDropped) — no pin can reach a
-// table the catalog no longer resolves.
+// ring reclaims them like any other version.
 
 // rowVer is one preserved (superseded) row version covering commit
 // boundaries [from, to], linked newest-first on Table.olds. Nodes are
@@ -140,13 +138,9 @@ type Views struct {
 
 	// retireMu guards the retire ring and the version free list; it is
 	// taken per version push (pins open only) and once per BeginTask.
-	retireMu sync.Mutex
-	retire   []retiredVer
-	freeVers []*rowVer
-	// dropTabs are tables dropped from the catalog whose ring entries
-	// are still queued; their versions are reclaimed regardless of pin
-	// boundaries, since no reader can resolve the table anymore.
-	dropTabs  map[*Table]struct{}
+	retireMu  sync.Mutex
+	retire    []retiredVer
+	freeVers  []*rowVer
 	reclaimed uint64
 }
 
@@ -316,22 +310,6 @@ func (v *Views) retireVer(t *Table, tid uint64, n *rowVer) {
 	v.retireMu.Unlock()
 }
 
-// noteDropped records that the catalog dropped a table. Its queued
-// ring entries become reclaimable immediately — catalog lookups can no
-// longer reach the table, so no new reader resolves it, and an
-// in-flight reader mid-statement still holds the read latch, which
-// makes the unlink try-lock back off and retry at the next boundary.
-// Without this, a drop mid-pin would strand the table's entries in the
-// ring until every pin closed.
-func (v *Views) noteDropped(t *Table) {
-	v.retireMu.Lock()
-	if v.dropTabs == nil {
-		v.dropTabs = make(map[*Table]struct{})
-	}
-	v.dropTabs[t] = struct{}{}
-	v.retireMu.Unlock()
-}
-
 // drainRetired reclaims the retire-ring prefix no open pin can reach:
 // version nodes with to < minPinned (all of them when no pin is open)
 // are unlinked from their chains under a try-lock and recycled.
@@ -342,7 +320,6 @@ func (v *Views) drainRetired() {
 	v.retireMu.Lock()
 	defer v.retireMu.Unlock()
 	if len(v.retire) == 0 {
-		v.dropTabs = nil
 		return
 	}
 	pinned := v.pinCount.Load() > 0
@@ -371,47 +348,6 @@ func (v *Views) drainRetired() {
 			v.retire[j] = retiredVer{}
 		}
 		v.retire = v.retire[:n]
-	}
-	// Sweep dropped tables' remaining entries out of the ring order:
-	// their versions are unreachable regardless of pin boundaries (see
-	// noteDropped), so holding them behind a pinned prefix would leak
-	// them until the last pin closed.
-	if len(v.dropTabs) > 0 && len(v.retire) > 0 {
-		kept := v.retire[:0]
-		for _, e := range v.retire {
-			if _, dropped := v.dropTabs[e.tbl]; !dropped {
-				kept = append(kept, e)
-				continue
-			}
-			ok, freed := e.tbl.tryUnlink(e.tid, e.ver)
-			if !ok {
-				kept = append(kept, e)
-				continue
-			}
-			if freed != nil {
-				freed.meta, freed.data, freed.older = TupleMeta{}, nil, nil
-				if len(v.freeVers) < maxFreeVers {
-					v.freeVers = append(v.freeVers, freed)
-				}
-			}
-			v.reclaimed++
-		}
-		for j := len(kept); j < len(v.retire); j++ {
-			v.retire[j] = retiredVer{}
-		}
-		v.retire = kept
-		for t := range v.dropTabs {
-			still := false
-			for _, e := range v.retire {
-				if e.tbl == t {
-					still = true
-					break
-				}
-			}
-			if !still {
-				delete(v.dropTabs, t)
-			}
-		}
 	}
 }
 
@@ -444,22 +380,6 @@ func (t *Table) tryUnlink(tid uint64, ver *rowVer) (ok bool, freed *rowVer) {
 		}
 	}
 	return true, nil
-}
-
-// RetiredLen reports the number of superseded versions awaiting
-// reclamation (the retire ring's length).
-func (v *Views) RetiredLen() int {
-	v.retireMu.Lock()
-	defer v.retireMu.Unlock()
-	return len(v.retire)
-}
-
-// Reclaimed reports the total number of retire-ring entries drained
-// since creation.
-func (v *Views) Reclaimed() uint64 {
-	v.retireMu.Lock()
-	defer v.retireMu.Unlock()
-	return v.reclaimed
 }
 
 // ReadView is a pinned, transaction-consistent snapshot of one

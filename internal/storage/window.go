@@ -74,12 +74,6 @@ type WindowState struct {
 	grouped []*WindowGroups    // maintained per-key aggregates, one per key set
 }
 
-// StagedCount returns the number of staged (invisible) tuples.
-func (w *WindowState) StagedCount() int { return w.staged.Len() }
-
-// Slides returns the total number of slides since creation.
-func (w *WindowState) Slides() uint64 { return w.slides }
-
 // Mark captures the scalar window bookkeeping (everything except the
 // rows themselves, which physical undo restores) so a transaction abort
 // can reset it. Scalar maintained-aggregate accumulators are part of

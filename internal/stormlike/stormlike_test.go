@@ -15,106 +15,6 @@ func row(vs ...int64) types.Row {
 	return r
 }
 
-func TestTopologyChain(t *testing.T) {
-	double := func(tp *Tuple, emit func(types.Row)) error {
-		emit(row(tp.Values[0].Int() * 2))
-		return nil
-	}
-	addOne := func(tp *Tuple, emit func(types.Row)) error {
-		emit(row(tp.Values[0].Int() + 1))
-		return nil
-	}
-	topo := NewTopology(double, addOne)
-	out, err := topo.EmitAndWait(row(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 1 || out[0][0].Int() != 11 {
-		t.Fatalf("out = %v", out)
-	}
-	if topo.Processed() != 1 || topo.Replays() != 0 {
-		t.Errorf("processed=%d replays=%d", topo.Processed(), topo.Replays())
-	}
-}
-
-func TestTopologyFanOutAcking(t *testing.T) {
-	split := func(tp *Tuple, emit func(types.Row)) error {
-		for i := int64(0); i < 3; i++ {
-			emit(row(tp.Values[0].Int() + i))
-		}
-		return nil
-	}
-	count := 0
-	sink := func(tp *Tuple, emit func(types.Row)) error {
-		count++
-		emit(tp.Values)
-		return nil
-	}
-	topo := NewTopology(split, sink)
-	out, err := topo.EmitAndWait(row(10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 3 || count != 3 {
-		t.Fatalf("out = %v, count = %d", out, count)
-	}
-}
-
-func TestAtLeastOnceReplay(t *testing.T) {
-	attempts := 0
-	flaky := func(tp *Tuple, emit func(types.Row)) error {
-		attempts++
-		if attempts < 3 {
-			return fmt.Errorf("transient failure %d", attempts)
-		}
-		emit(tp.Values)
-		return nil
-	}
-	topo := NewTopology(flaky)
-	out, err := topo.EmitAndWait(row(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 1 {
-		t.Fatalf("out = %v", out)
-	}
-	if topo.Replays() != 2 {
-		t.Errorf("replays = %d, want 2 (at-least-once)", topo.Replays())
-	}
-}
-
-func TestPermanentFailureGivesUp(t *testing.T) {
-	dead := func(tp *Tuple, emit func(types.Row)) error {
-		return fmt.Errorf("permanent")
-	}
-	topo := NewTopology(dead)
-	if _, err := topo.EmitAndWait(row(1)); err == nil {
-		t.Fatal("permanently failing tuple should error out")
-	}
-}
-
-func TestAckerLedger(t *testing.T) {
-	a := newAcker()
-	a.emit(100, 100)
-	a.emit(100, 7)
-	a.emit(100, 9)
-	if a.ack(100, 7) {
-		t.Error("tree incomplete after one ack")
-	}
-	if a.ack(100, 9) {
-		t.Error("tree incomplete: root outstanding")
-	}
-	if !a.ack(100, 100) {
-		t.Error("tree should complete when ledger reaches zero")
-	}
-	if !a.completed(100) {
-		t.Error("completion flag missing")
-	}
-	if a.completed(100) {
-		t.Error("completion flag should clear")
-	}
-}
-
 func TestKVStoreTxidIdempotence(t *testing.T) {
 	s := NewKVStore(0)
 	if !s.PutIfNewTxid(1, "k", row(10)) {

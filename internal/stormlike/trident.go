@@ -1,3 +1,8 @@
+// Package stormlike is a miniature of Storm's Trident layer (§4.6.2,
+// §5), built as a comparison baseline: a transactional layer giving
+// exactly-once batch processing against an external key/value state
+// store (the Memcached stand-in) reached through a simulated network
+// hop.
 package stormlike
 
 import (
@@ -36,13 +41,6 @@ func NewKVStore(hop time.Duration) *KVStore {
 	return &KVStore{data: make(map[string]kvEntry), hop: hop}
 }
 
-// Ops returns the number of store operations performed.
-func (s *KVStore) Ops() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ops
-}
-
 // Get fetches a key (one network hop). ok=false when absent.
 func (s *KVStore) Get(key string) (types.Row, bool) {
 	netsim.Delay(s.hop)
@@ -79,13 +77,6 @@ func (s *KVStore) PutIfNewTxid(txid int64, key string, value types.Row) bool {
 	return true
 }
 
-// Len returns the number of stored keys.
-func (s *KVStore) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.data)
-}
-
 // TridentBatchFunc processes one batch against external state.
 type TridentBatchFunc func(txid int64, rows []types.Row, state *KVStore) error
 
@@ -106,15 +97,6 @@ type Trident struct {
 func NewTrident(state *KVStore, fn TridentBatchFunc) *Trident {
 	return &Trident{state: state, fn: fn, nextTxid: 1}
 }
-
-// State returns the external state store.
-func (t *Trident) State() *KVStore { return t.state }
-
-// Committed returns the number of committed batches.
-func (t *Trident) Committed() uint64 { return t.committed }
-
-// Attempts returns total batch attempts including retries.
-func (t *Trident) Attempts() uint64 { return t.attempts }
 
 // ProcessBatch runs one batch to commit, retrying with the same txid
 // on failure (exactly-once).

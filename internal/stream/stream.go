@@ -118,6 +118,8 @@ func (d *Dedup) Release(stream string, batchID int64) {
 }
 
 // High returns the highest admitted batch ID for a stream (0 when none).
+//
+//lint:allow unused -- test support: the pe and stream tests read the ledger
 func (d *Dedup) High(stream string) int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()

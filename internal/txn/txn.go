@@ -65,9 +65,6 @@ func New(id uint64) *Txn {
 	return &Txn{id: id}
 }
 
-// ID returns the transaction's partition-local ID.
-func (t *Txn) ID() uint64 { return t.id }
-
 // Status returns the lifecycle state.
 func (t *Txn) Status() Status { return t.status }
 

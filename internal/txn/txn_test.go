@@ -2,6 +2,7 @@ package txn
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"sstore/internal/ee"
@@ -141,8 +142,8 @@ func TestWindowRollbackRestoresExactState(t *testing.T) {
 	}
 	tx1.Commit()
 	contentBefore := fmt.Sprint(tableValues(w))
-	slidesBefore := w.Window().Slides()
-	stagedBefore := w.Window().StagedCount()
+	markBefore := w.Window().Mark()
+	stagedBefore := w.Len() - w.ActiveLen()
 
 	// TE 2: slides the window, then aborts.
 	tx2 := New(2)
@@ -159,11 +160,11 @@ func TestWindowRollbackRestoresExactState(t *testing.T) {
 	if got := fmt.Sprint(tableValues(w)); got != contentBefore {
 		t.Errorf("window content = %v, want %v", got, contentBefore)
 	}
-	if w.Window().Slides() != slidesBefore {
-		t.Errorf("slides = %d, want %d", w.Window().Slides(), slidesBefore)
+	if mark := w.Window().Mark(); !reflect.DeepEqual(mark, markBefore) {
+		t.Errorf("window bookkeeping = %+v, want %+v", mark, markBefore)
 	}
-	if w.Window().StagedCount() != stagedBefore {
-		t.Errorf("staged = %d, want %d", w.Window().StagedCount(), stagedBefore)
+	if staged := w.Len() - w.ActiveLen(); staged != stagedBefore {
+		t.Errorf("staged = %d, want %d", staged, stagedBefore)
 	}
 	// The window keeps working after the rollback.
 	tx3 := New(3)
@@ -284,7 +285,7 @@ func TestAbortRestoresWindowAggregates(t *testing.T) {
 		}
 	}
 	before := aggSnapshot(t, w)
-	beforeSlides := w.Window().Slides()
+	beforeMark := w.Window().Mark()
 
 	tx := New(1)
 	tx.MarkWindow(w)
@@ -295,14 +296,14 @@ func TestAbortRestoresWindowAggregates(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if w.Window().Slides() == beforeSlides {
+	if reflect.DeepEqual(w.Window().Mark(), beforeMark) {
 		t.Fatal("TE should have slid the window")
 	}
 	if err := tx.Rollback(); err != nil {
 		t.Fatal(err)
 	}
-	if w.Window().Slides() != beforeSlides {
-		t.Errorf("slides = %d, want %d", w.Window().Slides(), beforeSlides)
+	if mark := w.Window().Mark(); !reflect.DeepEqual(mark, beforeMark) {
+		t.Errorf("window bookkeeping = %+v, want %+v", mark, beforeMark)
 	}
 	after := aggSnapshot(t, w)
 	for i := range before {

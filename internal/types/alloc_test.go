@@ -8,70 +8,13 @@ import "testing"
 
 //sstore:allocgate EncodeValue
 //sstore:allocgate EncodeRow
-//sstore:allocgate AppendInt64
-//sstore:allocgate AppendFloat64
-//sstore:allocgate AppendString
 func TestEncodeAllocFree(t *testing.T) {
 	row := Row{NewInt(42), NewFloat(3.5), NewText("hot"), Null, NewBool(true)}
 	buf := make([]byte, 0, 256)
 	if n := testing.AllocsPerRun(1000, func() {
 		buf = EncodeRow(buf[:0], row)
-		buf = AppendInt64(buf[:0], -77)
-		buf = AppendFloat64(buf[:0], 2.25)
-		buf = AppendString(buf[:0], "sp_ingest")
 	}); n != 0 {
 		t.Fatalf("encode path allocates %v/op with spare capacity; it backs every log append and wire frame", n)
-	}
-}
-
-//sstore:allocgate DecodeRowAppend
-func TestDecodeRowAppendAllocFree(t *testing.T) {
-	// Fixed-width kinds only: a text value's string is the one
-	// allocation the fast path is allowed to make.
-	var enc []byte
-	enc = EncodeRow(enc, Row{NewInt(7), NewFloat(1.5), NewBool(false), Null, NewTimestamp(99)})
-	scratch := make(Row, 0, 8)
-	if n := testing.AllocsPerRun(1000, func() {
-		row, _, err := DecodeRowAppend(scratch[:0], enc)
-		if err != nil || len(row) != 5 {
-			t.Fatal("fast-path decode broke")
-		}
-		scratch = row
-	}); n != 0 {
-		t.Fatalf("DecodeRowAppend allocates %v/op on fixed-width values over a warm buffer", n)
-	}
-}
-
-func TestDecodeRowAppendMatchesDecodeRow(t *testing.T) {
-	rows := []Row{
-		nil,
-		{NewInt(-1)},
-		{NewInt(1), NewFloat(2.5), NewText("abc"), Null, NewBool(true), NewTimestamp(12345)},
-	}
-	for _, want := range rows {
-		enc := EncodeRow(nil, want)
-		got, n, err := DecodeRowAppend(nil, enc)
-		if err != nil {
-			t.Fatalf("DecodeRowAppend(%v): %v", want, err)
-		}
-		if n != len(enc) {
-			t.Fatalf("consumed %d of %d bytes", n, len(enc))
-		}
-		if len(got) != len(want) {
-			t.Fatalf("decoded %d values, want %d", len(got), len(want))
-		}
-		for i := range want {
-			if !got[i].Equal(want[i]) {
-				t.Fatalf("value %d: got %v want %v", i, got[i], want[i])
-			}
-		}
-	}
-	// Truncated inputs fail without panicking.
-	enc := EncodeRow(nil, Row{NewInt(1), NewText("abc")})
-	for cut := 1; cut < len(enc); cut++ {
-		if _, _, err := DecodeRowAppend(nil, enc[:cut]); err == nil {
-			t.Fatalf("truncation at %d not detected", cut)
-		}
 	}
 }
 

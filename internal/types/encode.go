@@ -2,7 +2,6 @@ package types
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -78,32 +77,6 @@ func DecodeValue(b []byte) (Value, int, error) {
 	}
 }
 
-// AppendInt64 appends an int64 value's encoding to buf without going
-// through a Value — the codec fast path for the dominant column kind.
-//
-//sstore:nomalloc
-func AppendInt64(buf []byte, i int64) []byte {
-	buf = append(buf, byte(KindInt))
-	return binary.AppendVarint(buf, i)
-}
-
-// AppendFloat64 appends a float64 value's encoding to buf.
-//
-//sstore:nomalloc
-func AppendFloat64(buf []byte, f float64) []byte {
-	buf = append(buf, byte(KindFloat))
-	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
-}
-
-// AppendString appends a text value's encoding to buf.
-//
-//sstore:nomalloc
-func AppendString(buf []byte, s string) []byte {
-	buf = append(buf, byte(KindText))
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
 // EncodeRow appends the binary encoding of row to buf.
 //
 //sstore:nomalloc
@@ -131,104 +104,4 @@ func DecodeRow(b []byte) (Row, int, error) {
 		n += m
 	}
 	return row, n, nil
-}
-
-// Fast-path decode errors are fixed values so DecodeRowAppend stays
-// allocation-free on every outcome; callers wanting positional detail
-// use DecodeRow.
-var (
-	errTruncatedRowCount = errors.New("types: truncated row count")
-	errTruncatedRowValue = errors.New("types: truncated row value")
-)
-
-// DecodeRowAppend decodes one row from b into dst, reusing dst's
-// capacity, and returns the extended row and the bytes consumed. It is
-// the zero-allocation counterpart of DecodeRow for callers that own a
-// reusable row buffer: int64, float64, bool, timestamp, and null
-// values decode without touching the allocator; text values allocate
-// exactly their string. On error dst is returned unchanged in length
-// beyond what was already appended and must be re-sliced by the caller.
-//
-//sstore:nomalloc
-func DecodeRowAppend(dst Row, b []byte) (Row, int, error) {
-	count, n := binary.Uvarint(b)
-	if n <= 0 {
-		return dst, 0, errTruncatedRowCount
-	}
-	for i := uint64(0); i < count; i++ {
-		if n >= len(b) {
-			return dst, 0, errTruncatedRowValue
-		}
-		var v Value
-		switch Kind(b[n]) {
-		case KindInt, KindTimestamp, KindBool:
-			x, m := binary.Varint(b[n+1:])
-			if m <= 0 {
-				return dst, 0, errTruncatedRowValue
-			}
-			v.kind = Kind(b[n])
-			v.i = x
-			n += 1 + m
-		case KindFloat:
-			if len(b) < n+9 {
-				return dst, 0, errTruncatedRowValue
-			}
-			v.kind = KindFloat
-			v.f = math.Float64frombits(binary.LittleEndian.Uint64(b[n+1:]))
-			n += 9
-		default:
-			// Text (which owns its string) and malformed kinds take the
-			// general decoder.
-			//lint:allow hotalloc -- text decode inherently allocates its string; every fixed-width kind is handled above
-			dv, m, err := DecodeValue(b[n:])
-			if err != nil {
-				return dst, 0, err
-			}
-			v = dv
-			n += m
-		}
-		dst = append(dst, v)
-	}
-	return dst, n, nil
-}
-
-// EncodeSchema appends the binary encoding of s to buf.
-func EncodeSchema(buf []byte, s *Schema) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s.cols)))
-	for _, c := range s.cols {
-		buf = binary.AppendUvarint(buf, uint64(len(c.Name)))
-		buf = append(buf, c.Name...)
-		buf = append(buf, byte(c.Kind))
-	}
-	return buf
-}
-
-// DecodeSchema decodes a schema from b, returning it and the bytes
-// consumed.
-func DecodeSchema(b []byte) (*Schema, int, error) {
-	count, n := binary.Uvarint(b)
-	if n <= 0 {
-		return nil, 0, fmt.Errorf("types: truncated schema count")
-	}
-	cols := make([]Column, 0, count)
-	for i := uint64(0); i < count; i++ {
-		l, m := binary.Uvarint(b[n:])
-		if m <= 0 {
-			return nil, 0, fmt.Errorf("types: truncated column name length")
-		}
-		n += m
-		if uint64(len(b)-n) < l+1 {
-			return nil, 0, fmt.Errorf("types: truncated column %d", i)
-		}
-		name := string(b[n : n+int(l)])
-		n += int(l)
-		kind := Kind(b[n])
-		n++
-		cols = append(cols, Column{Name: name, Kind: kind})
-	}
-	s, err := NewSchema(cols...)
-	if err != nil {
-		return nil, 0, err
-	}
-	return s, n, nil
 }

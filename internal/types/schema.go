@@ -49,28 +49,11 @@ func (s *Schema) Len() int { return len(s.cols) }
 // Column returns the i-th column.
 func (s *Schema) Column(i int) Column { return s.cols[i] }
 
-// Columns returns a copy of the column list.
-func (s *Schema) Columns() []Column { return append([]Column(nil), s.cols...) }
-
 // Index returns the ordinal of the named column (case-insensitive) and
 // whether it exists.
 func (s *Schema) Index(name string) (int, bool) {
 	i, ok := s.byName[strings.ToLower(name)]
 	return i, ok
-}
-
-// Project returns a new schema with only the named columns, in the
-// given order.
-func (s *Schema) Project(names ...string) (*Schema, error) {
-	cols := make([]Column, 0, len(names))
-	for _, n := range names {
-		i, ok := s.Index(n)
-		if !ok {
-			return nil, fmt.Errorf("types: no column %q", n)
-		}
-		cols = append(cols, s.cols[i])
-	}
-	return NewSchema(cols...)
 }
 
 // Validate checks a row against the schema: correct arity, and each

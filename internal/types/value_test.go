@@ -225,22 +225,6 @@ func TestDecodeTruncated(t *testing.T) {
 	}
 }
 
-func TestSchemaRoundTrip(t *testing.T) {
-	s := MustSchema(
-		Column{Name: "id", Kind: KindInt},
-		Column{Name: "name", Kind: KindText},
-		Column{Name: "ts", Kind: KindTimestamp},
-	)
-	buf := EncodeSchema(nil, s)
-	got, n, err := DecodeSchema(buf)
-	if err != nil || n != len(buf) {
-		t.Fatalf("decode schema: %v (n=%d, len=%d)", err, n, len(buf))
-	}
-	if got.String() != s.String() {
-		t.Errorf("schema round trip = %s, want %s", got, s)
-	}
-}
-
 func TestSchemaValidate(t *testing.T) {
 	s := MustSchema(
 		Column{Name: "id", Kind: KindInt},
@@ -270,7 +254,7 @@ func TestSchemaValidate(t *testing.T) {
 	}
 }
 
-func TestSchemaLookupAndProject(t *testing.T) {
+func TestSchemaLookup(t *testing.T) {
 	s := MustSchema(
 		Column{Name: "A", Kind: KindInt},
 		Column{Name: "b", Kind: KindText},
@@ -278,14 +262,7 @@ func TestSchemaLookupAndProject(t *testing.T) {
 	if i, ok := s.Index("a"); !ok || i != 0 {
 		t.Errorf("case-insensitive lookup failed: %d %v", i, ok)
 	}
-	p, err := s.Project("b")
-	if err != nil || p.Len() != 1 || p.Column(0).Name != "b" {
-		t.Errorf("project = %v, %v", p, err)
-	}
-	if _, err = s.Project("missing"); err == nil {
-		t.Error("projecting missing column should fail")
-	}
-	if _, err = NewSchema(Column{Name: "x", Kind: KindInt}, Column{Name: "X", Kind: KindInt}); err == nil {
+	if _, err := NewSchema(Column{Name: "x", Kind: KindInt}, Column{Name: "X", Kind: KindInt}); err == nil {
 		t.Error("duplicate (case-insensitive) columns should fail")
 	}
 }

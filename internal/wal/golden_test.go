@@ -292,9 +292,9 @@ func TestGoldenCheckpoint(t *testing.T) {
 	if got := storage.PendingBatches(dst[1]); !slices.Equal(got, []int64{7, 8}) {
 		t.Errorf("readings pending batches = %v, want [7 8]", got)
 	}
-	w, sw := dst[2].Window(), src[2].Window()
-	if w.Slides() != sw.Slides() || w.StagedCount() != 1 || dst[2].ActiveLen() != 3 {
-		t.Errorf("window slides=%d staged=%d active=%d, want %d/1/3", w.Slides(), w.StagedCount(), dst[2].ActiveLen(), sw.Slides())
+	w, sw := dst[2].Window().Mark(), src[2].Window().Mark()
+	if staged := dst[2].Len() - dst[2].ActiveLen(); !reflect.DeepEqual(w, sw) || staged != 1 || dst[2].ActiveLen() != 3 {
+		t.Errorf("window bookkeeping=%+v staged=%d active=%d, want %+v/1/3", w, staged, dst[2].ActiveLen(), sw)
 	}
 	gotSum, ok := dst[2].MaintainedAggregate(storage.AggSum, 1)
 	wantSum, _ := src[2].MaintainedAggregate(storage.AggSum, 1)

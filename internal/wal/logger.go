@@ -28,10 +28,10 @@ const (
 	// and a per-log flusher fsyncs whenever appended records are not
 	// yet durable — with the fsync outside the append mutex, so the
 	// group synced next is whatever arrived during the previous fsync.
-	// Callers learn durability from Durable, WaitDurable and the
-	// OnDurable callback; Append still blocks until its record is
-	// durable. A failed sync is sticky: nothing past the last good
-	// sync is ever reported durable, and later appends fail.
+	// Callers learn durability from WaitDurable and the OnDurable
+	// callback; Append still blocks until its record is durable. A
+	// failed sync is sticky: nothing past the last good sync is ever
+	// reported durable, and later appends fail.
 	SyncGroup
 	// SyncNone buffers writes and never fsyncs explicitly (flush on
 	// close); used when durability is disabled for throughput
@@ -172,7 +172,7 @@ type Logger struct {
 }
 
 // Open creates or appends to the log file. An existing log should be
-// read with ReadAll before opening for writes.
+// read with OpenReader before opening for writes.
 func Open(opts Options) (*Logger, error) {
 	// Appends always continue in the highest existing segment — even
 	// when rotation is now off — so segment order keeps matching LSN
@@ -239,7 +239,7 @@ func (l *Logger) Append(rec *Record) (uint64, error) {
 
 // AppendAsync assigns the record the next sequence number and writes
 // it. Under SyncGroup it returns without waiting for durability — see
-// Durable, WaitDurable and OnDurable — and fails once a sync has
+// WaitDurable and OnDurable — and fails once a sync has
 // failed; under the other policies it is Append.
 func (l *Logger) AppendAsync(rec *Record) (uint64, error) {
 	l.mu.Lock()
@@ -291,12 +291,6 @@ func (l *Logger) AppendAsync(rec *Record) (uint64, error) {
 		return rec.LSN, nil
 	}
 }
-
-// Durable returns the highest LSN durable per the sync policy: under
-// SyncGroup and SyncEachCommit every record this logger holds at or
-// below it survives a crash; SyncNone promises nothing and reports the
-// last append.
-func (l *Logger) Durable() uint64 { return l.durable.Load() }
 
 // WaitDurable blocks until every record this logger has appended at or
 // below lsn is durable, or returns the sticky sync error that stopped
@@ -826,29 +820,5 @@ func (r *Reader) Next() (*Record, error) {
 			return nil, io.EOF
 		}
 		return rec, nil
-	}
-}
-
-// ReadAll streams every intact record from a log file, stopping
-// cleanly at a torn tail (the expected state after a crash).
-func ReadAll(path string) ([]*Record, error) {
-	r, err := OpenReader(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("wal: read: %w", err)
-	}
-	defer r.Close()
-	var recs []*Record
-	for {
-		rec, err := r.Next()
-		if err == io.EOF {
-			return recs, nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("wal: read: %w", err)
-		}
-		recs = append(recs, rec)
 	}
 }

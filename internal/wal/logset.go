@@ -92,9 +92,6 @@ func OpenSet(opts SetOptions) (*LogSet, error) {
 	return s, nil
 }
 
-// Partitions returns the number of per-partition logs.
-func (s *LogSet) Partitions() int { return len(s.loggers) }
-
 // Append stamps the record with the next global sequence number and
 // appends it to the partition's log, blocking until durable per the
 // sync policy. Appends to different partitions proceed in parallel —

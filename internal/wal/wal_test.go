@@ -5,6 +5,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -222,7 +223,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		strm.Insert(types.Row{types.NewInt(i), types.NewText("s")}, i, nil)
 		win.Insert(types.Row{types.NewInt(i), types.NewText("w")}, 0, nil)
 	}
-	winSlides := win.Window().Slides()
+	winMark := win.Window().Mark()
 
 	if err := WriteSnapshot(path, 77, []*storage.Table{tbl, strm, win}); err != nil {
 		t.Fatal(err)
@@ -249,8 +250,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if got := storage.PendingBatches(strm2); len(got) != 3 {
 		t.Errorf("stream batches = %v", got)
 	}
-	if win2.Window().Slides() != winSlides {
-		t.Errorf("window slides = %d, want %d", win2.Window().Slides(), winSlides)
+	if mark := win2.Window().Mark(); !reflect.DeepEqual(mark, winMark) {
+		t.Errorf("window bookkeeping = %+v, want %+v", mark, winMark)
 	}
 	if win2.ActiveLen() != win.ActiveLen() {
 		t.Errorf("window active = %d, want %d", win2.ActiveLen(), win.ActiveLen())

@@ -48,7 +48,7 @@ func pipeConn(t *testing.T) (*Conn, net.Conn, *bufio.Reader) {
 // readRequest reads and decodes one request on the serving side.
 func readRequest(t *testing.T, br *bufio.Reader) *Request {
 	t.Helper()
-	payload, err := ReadFrame(br)
+	payload, err := ReadFrameBuf(br, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestConnOversizeRequestFailsLocally(t *testing.T) {
 		t.Fatalf("oversize request broke the connection: %v", c.Err())
 	}
 	go func() {
-		payload, err := ReadFrame(br)
+		payload, err := ReadFrameBuf(br, nil)
 		if err != nil {
 			return
 		}
@@ -183,7 +183,7 @@ func TestConnOversizeReplyBecomesError(t *testing.T) {
 	defer c.Close()
 	c.Reply(&Response{ID: 5, Op: OpQuery, Status: StatusOK,
 		Rows: []types.Row{{types.NewText(strings.Repeat("x", MaxFrame))}}})
-	payload, err := ReadFrame(bufio.NewReader(b))
+	payload, err := ReadFrameBuf(bufio.NewReader(b), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

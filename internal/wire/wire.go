@@ -323,18 +323,6 @@ func AppendResponse(buf []byte, r *Response) []byte {
 	return buf
 }
 
-// ReadFrame reads one frame's payload into a fresh buffer. io.EOF on a
-// clean connection close between frames; io.ErrUnexpectedEOF mid-frame.
-// Connection loops should prefer ReadFrameBuf with a per-connection
-// scratch buffer.
-func ReadFrame(br *bufio.Reader) ([]byte, error) {
-	payload, err := ReadFrameBuf(br, nil)
-	if err != nil {
-		return nil, err
-	}
-	return payload, nil
-}
-
 // ReadFrameBuf reads one frame's payload into scratch, growing it only
 // when the frame exceeds its capacity, and returns the (possibly
 // re-grown) buffer sliced to the payload. The payload is valid until

@@ -13,9 +13,9 @@ import (
 func roundTripReq(t *testing.T, r *Request) *Request {
 	t.Helper()
 	buf := AppendRequest(nil, r)
-	payload, err := ReadFrame(bufio.NewReader(bytes.NewReader(buf)))
+	payload, err := ReadFrameBuf(bufio.NewReader(bytes.NewReader(buf)), nil)
 	if err != nil {
-		t.Fatalf("ReadFrame: %v", err)
+		t.Fatalf("ReadFrameBuf: %v", err)
 	}
 	got, err := DecodeRequest(payload)
 	if err != nil {
@@ -27,9 +27,9 @@ func roundTripReq(t *testing.T, r *Request) *Request {
 func roundTripResp(t *testing.T, r *Response) *Response {
 	t.Helper()
 	buf := AppendResponse(nil, r)
-	payload, err := ReadFrame(bufio.NewReader(bytes.NewReader(buf)))
+	payload, err := ReadFrameBuf(bufio.NewReader(bytes.NewReader(buf)), nil)
 	if err != nil {
-		t.Fatalf("ReadFrame: %v", err)
+		t.Fatalf("ReadFrameBuf: %v", err)
 	}
 	got, err := DecodeResponse(payload)
 	if err != nil {
@@ -133,7 +133,7 @@ func TestPipelinedFrames(t *testing.T) {
 	}
 	br := bufio.NewReader(bytes.NewReader(buf))
 	for i := 1; i <= 3; i++ {
-		payload, err := ReadFrame(br)
+		payload, err := ReadFrameBuf(br, nil)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -145,14 +145,14 @@ func TestPipelinedFrames(t *testing.T) {
 			t.Errorf("frame %d: id %d", i, req.ID)
 		}
 	}
-	if _, err := ReadFrame(br); err != io.EOF {
+	if _, err := ReadFrameBuf(br, nil); err != io.EOF {
 		t.Errorf("after last frame: %v, want io.EOF", err)
 	}
 }
 
 func TestTruncatedFrame(t *testing.T) {
 	buf := AppendRequest(nil, &Request{ID: 1, Op: OpCall, SP: "X"})
-	_, err := ReadFrame(bufio.NewReader(bytes.NewReader(buf[:len(buf)-2])))
+	_, err := ReadFrameBuf(bufio.NewReader(bytes.NewReader(buf[:len(buf)-2])), nil)
 	if err != io.ErrUnexpectedEOF {
 		t.Errorf("truncated frame: %v, want io.ErrUnexpectedEOF", err)
 	}
@@ -160,7 +160,7 @@ func TestTruncatedFrame(t *testing.T) {
 
 func TestOversizeFrameRejected(t *testing.T) {
 	hdr := []byte{0xff, 0xff, 0xff, 0xff}
-	if _, err := ReadFrame(bufio.NewReader(bytes.NewReader(hdr))); err == nil {
+	if _, err := ReadFrameBuf(bufio.NewReader(bytes.NewReader(hdr)), nil); err == nil {
 		t.Error("oversize frame accepted")
 	}
 }

@@ -198,34 +198,3 @@ func (w *Workflow) Precedes(a, b string) bool {
 	}
 	return false
 }
-
-// NestedGroup declares a nested transaction (§2.3): a set of SPs in
-// the workflow whose TEs for one batch must execute as a single
-// isolation unit — no other streaming or OLTP transaction may
-// interleave, and if any child aborts the whole group aborts.
-type NestedGroup struct {
-	Name string
-	// SPs in execution (partial) order.
-	SPs []string
-}
-
-// Validate checks the group against a workflow: members must exist and
-// the listed order must be consistent with the workflow DAG.
-func (g *NestedGroup) Validate(w *Workflow) error {
-	if len(g.SPs) < 2 {
-		return fmt.Errorf("workflow: nested group %s needs at least two SPs", g.Name)
-	}
-	for _, sp := range g.SPs {
-		if _, ok := w.Node(sp); !ok {
-			return fmt.Errorf("workflow: nested group %s references unknown SP %s", g.Name, sp)
-		}
-	}
-	for i := 0; i < len(g.SPs); i++ {
-		for j := i + 1; j < len(g.SPs); j++ {
-			if w.Precedes(g.SPs[j], g.SPs[i]) {
-				return fmt.Errorf("workflow: nested group %s lists %s before %s against DAG order", g.Name, g.SPs[i], g.SPs[j])
-			}
-		}
-	}
-	return nil
-}

@@ -114,26 +114,6 @@ func TestValidationErrors(t *testing.T) {
 	}
 }
 
-func TestNestedGroupValidate(t *testing.T) {
-	w, _ := New("chain", chainNodes(3))
-	good := &NestedGroup{Name: "g", SPs: []string{"SP1", "SP2"}}
-	if err := good.Validate(w); err != nil {
-		t.Errorf("valid group rejected: %v", err)
-	}
-	reversed := &NestedGroup{Name: "g", SPs: []string{"SP2", "SP1"}}
-	if err := reversed.Validate(w); err == nil {
-		t.Error("DAG-inconsistent order should be rejected")
-	}
-	unknown := &NestedGroup{Name: "g", SPs: []string{"SP1", "NOPE"}}
-	if err := unknown.Validate(w); err == nil {
-		t.Error("unknown SP should be rejected")
-	}
-	single := &NestedGroup{Name: "g", SPs: []string{"SP1"}}
-	if err := single.Validate(w); err == nil {
-		t.Error("single-SP group should be rejected")
-	}
-}
-
 func TestMultipleTopoOrdersAccepted(t *testing.T) {
 	// Two independent chains in one workflow: any interleaving is a
 	// valid topological order; ours must at least respect each chain.
