@@ -124,8 +124,18 @@ func (n *CallNode) addEdge(callee *types.Func, pos token.Pos) {
 
 // resolveCallee returns the called *types.Func (or nil for dynamic
 // calls, builtins, and conversions) and whether the call goes through
-// an interface method.
+// an interface method. A call of a generic function or of a method of
+// a generic type resolves to its declaration (Origin), the object the
+// call graph and the annotations are keyed by.
 func resolveCallee(info *types.Info, call *ast.CallExpr) (fn *types.Func, iface bool) {
+	fn, iface = resolveInstance(info, call)
+	if fn != nil {
+		fn = fn.Origin()
+	}
+	return fn, iface
+}
+
+func resolveInstance(info *types.Info, call *ast.CallExpr) (fn *types.Func, iface bool) {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		fn, _ = info.Uses[fun].(*types.Func)

@@ -118,3 +118,18 @@ func recycles() {
 	r := getNode() // pooled callee: no finding
 	putNode(r)     // pooled callee: no finding
 }
+
+// list is generic: a call through an instantiation resolves to the
+// declared method, so the declaration's annotation is what counts.
+type list[T any] struct{ s []T }
+
+//sstore:nomalloc
+func (l *list[T]) at(i int) T { return l.s[i] }
+
+func (l *list[T]) grow() { l.s = make([]T, 2*len(l.s)+1) }
+
+//sstore:nomalloc
+func genericCalls(l *list[int]) int {
+	l.grow()       // want "call to hot.list.grow, which is not //sstore:nomalloc"
+	return l.at(0) // annotated generic method: no finding
+}

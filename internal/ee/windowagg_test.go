@@ -169,8 +169,9 @@ func TestMaintainedAggregateAbortThroughExecutor(t *testing.T) {
 // physical undo in reverse order plus window marks, mirroring txn.Txn
 // without importing it (ee cannot depend on txn).
 type recordingTxn struct {
-	ops   []func() error
-	marks []func()
+	ops      []func() error
+	marks    []func()
+	restored []*storage.Table
 }
 
 func (r *recordingTxn) RecordInsert(t *storage.Table, tid uint64) {
@@ -180,6 +181,7 @@ func (r *recordingTxn) RecordInsert(t *storage.Table, tid uint64) {
 func (r *recordingTxn) RecordDelete(t *storage.Table, meta storage.TupleMeta, row types.Row) {
 	row = row.Clone()
 	r.ops = append(r.ops, func() error { return t.RestoreRow(meta, row) })
+	r.restored = append(r.restored, t)
 }
 
 func (r *recordingTxn) RecordStage(t *storage.Table, tid uint64, prev bool) {
@@ -199,6 +201,9 @@ func (r *recordingTxn) rollback(t *testing.T) {
 		if err := r.ops[i](); err != nil {
 			t.Fatal(err)
 		}
+	}
+	for _, tbl := range r.restored {
+		tbl.SortRestored()
 	}
 	for _, m := range r.marks {
 		m()

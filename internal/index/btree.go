@@ -49,11 +49,8 @@ func (t *BTree) Name() string { return t.name }
 // Columns implements Index.
 func (t *BTree) Columns() []int { return t.columns }
 
-// Unique implements Index.
+// Unique reports whether the index rejects duplicate keys.
 func (t *BTree) Unique() bool { return t.unique }
-
-// Len implements Index.
-func (t *BTree) Len() int { return t.entries }
 
 func (n *innerNode) findLeaf(key Key) *leafNode {
 	i := sort.Search(len(n.keys), func(i int) bool { return CompareKeys(n.keys[i], key) > 0 })

@@ -33,11 +33,8 @@ func (h *HashIndex) Name() string { return h.name }
 // Columns implements Index.
 func (h *HashIndex) Columns() []int { return h.columns }
 
-// Unique implements Index.
+// Unique reports whether the index rejects duplicate keys.
 func (h *HashIndex) Unique() bool { return h.unique }
-
-// Len implements Index.
-func (h *HashIndex) Len() int { return h.entries }
 
 // Insert implements Index.
 func (h *HashIndex) Insert(key Key, tid uint64) error {

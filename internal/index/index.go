@@ -20,8 +20,6 @@ type Index interface {
 	// Columns returns the ordinals of the indexed columns in the
 	// table schema.
 	Columns() []int
-	// Unique reports whether the index rejects duplicate keys.
-	Unique() bool
 	// Insert adds a (key, tupleID) entry. For unique indexes it
 	// returns ErrDuplicateKey when the key is already present.
 	Insert(key Key, tid uint64) error
@@ -30,8 +28,6 @@ type Index interface {
 	// Lookup returns the tuple IDs for an exact key match. The
 	// returned slice must not be modified.
 	Lookup(key Key) []uint64
-	// Len returns the number of (key, tupleID) entries.
-	Len() int
 }
 
 // ErrDuplicateKey is returned by Insert on a unique index when the key

@@ -101,7 +101,7 @@ func TestSStoreWorkflowProcessesVotes(t *testing.T) {
 // 100-row window served from its per-contestant counts), all before
 // the first elimination. A path that allocates per window row costs
 // 100 per vote per allocation. The procedures run declared statements
-// on their compiled scratch, so what is left — about 35 per vote — is
+// on their compiled scratch, so what is left — about 31 per vote — is
 // mostly the 13 rows a vote stores, the rows UPDATE replaces, and
 // index keys.
 func TestVoteMallocsBounded(t *testing.T) {

@@ -76,6 +76,39 @@ func TestVersionReadAllocFree(t *testing.T) {
 	}
 }
 
+//sstore:allocgate slots.find
+//sstore:allocgate slots.get
+func TestSlotLookupAllocFree(t *testing.T) {
+	_, _, tbl := mustFixture(t)
+	for i := int64(0); i < 64; i++ {
+		if _, err := tbl.Insert(types.Row{types.NewInt(i)}, 0, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Delete every other row and compact, so lookups past the first
+	// gap fall back from the direct offset to the binary search.
+	for tid := uint64(1); tid <= 64; tid += 2 {
+		if _, err := tbl.Delete(tid, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(tbl.rows.s) != 32 {
+		t.Fatalf("heap has %d slots after compaction, want 32", len(tbl.rows.s))
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		for _, tid := range []uint64{2, 40, 64} {
+			if _, ok := tbl.rows.get(tid); !ok {
+				t.Fatalf("tid %d missing", tid)
+			}
+		}
+		if _, ok := tbl.rows.find(65); ok {
+			t.Fatal("tid 65 found")
+		}
+	}); n != 0 {
+		t.Fatalf("slot lookup allocates %v/op; it serves every Get and index probe", n)
+	}
+}
+
 // mustFixture is viewFixture without the secondary index (index
 // inserts are irrelevant to the read-path gates).
 func mustFixture(t *testing.T) (*Catalog, *Views, *Table) {

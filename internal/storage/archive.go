@@ -2,14 +2,14 @@ package storage
 
 // This file is the disk-backed half of the storage-manager seam: an
 // archive table keeps its row heap in a slotted page file behind a
-// shared buffer pool instead of a Go map. Everything above the heap —
-// version chains, mutation brackets, indexes, arrival order,
-// tombstones — is identical between the two implementations; Table
-// routes each heap access through liveRow/putRow/removeRow (table.go),
-// which branch on t.arch.
+// shared buffer pool instead of in RAM. Everything above the heap —
+// version chains, mutation brackets, indexes — is identical between the
+// two implementations; Table routes each heap access through
+// liveRow/putRow/removeRow (table.go), which branch on t.arch.
 //
-// Only row locators (TID → block/slot) and installedAt stamps stay in
-// RAM. installedAt is deliberately not persisted: task epochs are
+// Only row locators (block/slot) and installedAt stamps stay in RAM, on
+// the TID-ordered slot list (heap.go) that holds an in-memory table's
+// rows. installedAt is deliberately not persisted: task epochs are
 // process-local and restart at zero, so a persisted stamp from a prior
 // run would make restored rows invisible to pinned readers. Buffer-pool
 // pins are strictly call-scoped — every method unpins before returning,
@@ -21,7 +21,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"sstore/internal/bufferpool"
@@ -54,13 +53,13 @@ type recLoc struct {
 }
 
 // archHeap is an archive table's row heap: a page file plus the
-// locator map. It is accessed only from inside the owning Table's
+// locator list. It is accessed only from inside the owning Table's
 // mutation bracket or read latch, so it carries no lock of its own;
 // the buffer pool below it is internally synchronized.
 type archHeap struct {
 	pool *bufferpool.Pool
 	file *page.File
-	loc  map[uint64]recLoc
+	loc  slots[recLoc]
 	// fill is the block new records land on until it fills up. Dead
 	// record space in earlier blocks is not reused (append-mostly
 	// workload; a rewrite lands on the fill page).
@@ -87,7 +86,7 @@ func NewArchiveTable(name string, schema *types.Schema, site *ArchiveSite) (*Tab
 		return nil, err
 	}
 	t := NewTable(name, KindTable, schema)
-	t.arch = &archHeap{pool: site.Pool, file: f, loc: make(map[uint64]recLoc)}
+	t.arch = &archHeap{pool: site.Pool, file: f}
 	return t, nil
 }
 
@@ -144,7 +143,7 @@ func decodeArchRecord(rec []byte) (storedRow, error) {
 // statement; the engine's failure model is crash-and-recover from the
 // log, so get panics rather than silently dropping the row.
 func (h *archHeap) get(tid uint64) (storedRow, bool) {
-	l, ok := h.loc[tid]
+	l, ok := h.loc.get(tid)
 	if !ok {
 		var none storedRow
 		return none, false
@@ -162,20 +161,14 @@ func (h *archHeap) get(tid uint64) (storedRow, bool) {
 	return r, true
 }
 
-// has reports locator presence without touching the pool.
-func (h *archHeap) has(tid uint64) bool {
-	_, ok := h.loc[tid]
-	return ok
-}
-
 // put installs r as tid's live image: the old record (if any) is
 // tombstoned on its page and the new encoding lands on the fill page.
 func (h *archHeap) put(tid uint64, r storedRow) error {
-	if old, ok := h.loc[tid]; ok {
+	if old, ok := h.loc.get(tid); ok {
 		if err := h.deleteRec(old); err != nil {
 			return err
 		}
-		delete(h.loc, tid)
+		h.loc.remove(tid)
 	}
 	h.scratch = appendArchRecord(h.scratch[:0], r)
 	if len(h.scratch) > page.MaxRecord {
@@ -185,7 +178,7 @@ func (h *archHeap) put(tid uint64, r storedRow) error {
 	if err != nil {
 		return err
 	}
-	h.loc[tid] = recLoc{block: block, slot: slot, installedAt: r.installedAt}
+	h.loc.put(tid, recLoc{block: block, slot: slot, installedAt: r.installedAt})
 	return nil
 }
 
@@ -221,16 +214,16 @@ func (h *archHeap) insert(rec []byte) (page.BlockID, uint16, error) {
 }
 
 // remove drops tid's record and locator. Removing an absent tid is a
-// no-op, matching map delete.
+// no-op.
 func (h *archHeap) remove(tid uint64) error {
-	l, ok := h.loc[tid]
+	l, ok := h.loc.get(tid)
 	if !ok {
 		return nil
 	}
 	if err := h.deleteRec(l); err != nil {
 		return err
 	}
-	delete(h.loc, tid)
+	h.loc.remove(tid)
 	return nil
 }
 
@@ -245,14 +238,14 @@ func (h *archHeap) deleteRec(l recLoc) error {
 	return derr
 }
 
-// clear empties the heap: resident frames are dropped without
-// write-back and the page file is truncated.
+// clear empties the page file: resident frames are dropped without
+// write-back and the file is truncated. The locator list is the
+// caller's to reset.
 func (h *archHeap) clear() error {
 	h.pool.Invalidate(h.file)
 	if err := h.file.Truncate(); err != nil {
 		return err
 	}
-	h.loc = make(map[uint64]recLoc)
 	h.hasFill = false
 	return nil
 }
@@ -295,9 +288,9 @@ func (t *Table) ArchiveCheckpoint(dst string) error {
 
 // ArchiveRestore replaces the table's contents with the checkpointed
 // page file at src. Every block is read through the CRC check, copied
-// into the live file, and its live records re-registered; arrival
-// order and indexes are rebuilt from the locators (TID assignment
-// order is arrival order). installedAt restarts at zero — epochs are
+// into the live file, and its live records re-registered; the locator
+// list is sorted back into TID (arrival) order and the indexes rebuilt
+// from it. installedAt restarts at zero — epochs are
 // process-local. WAL replay then redoes logical mutations on top.
 func (t *Table) ArchiveRestore(src string) error {
 	h := t.arch
@@ -312,6 +305,7 @@ func (t *Table) ArchiveRestore(src string) error {
 	if err := h.clear(); err != nil {
 		return err
 	}
+	h.loc = slots[recLoc]{}
 	var pg page.Page
 	var maxTID uint64
 	for b := uint32(0); b < sf.Blocks(); b++ {
@@ -331,7 +325,7 @@ func (t *Table) ArchiveRestore(src string) error {
 			if derr != nil {
 				return fmt.Errorf("storage: restore %s block %d slot %d: %w", t.name, b, slot, derr)
 			}
-			h.loc[r.meta.TID] = recLoc{block: page.BlockID(b), slot: slot}
+			h.loc.put(r.meta.TID, recLoc{block: page.BlockID(b), slot: slot})
 			if r.meta.TID > maxTID {
 				maxTID = r.meta.TID
 			}
@@ -343,29 +337,17 @@ func (t *Table) ArchiveRestore(src string) error {
 	if n := sf.Blocks(); n > 0 {
 		h.fill, h.hasFill = page.BlockID(n-1), true
 	}
-	if h.pendingRestore && uint64(len(h.loc)) != h.expectRows {
-		return fmt.Errorf("storage: restore %s: page file holds %d rows, snapshot recorded %d", t.name, len(h.loc), h.expectRows)
+	if h.pendingRestore && uint64(h.loc.live()) != h.expectRows {
+		return fmt.Errorf("storage: restore %s: page file holds %d rows, snapshot recorded %d", t.name, h.loc.live(), h.expectRows)
 	}
 	h.pendingRestore = false
-	tids := make([]uint64, 0, len(h.loc))
-	for tid := range h.loc {
-		tids = append(tids, tid)
-	}
-	sort.Slice(tids, func(i, j int) bool { return tids[i] < tids[j] })
-	t.order = tids
-	t.tombs = make(map[uint64]struct{})
+	h.loc.sortRestored()
 	if maxTID > t.nextTID {
 		t.nextTID = maxTID
 	}
-	for _, tid := range t.order {
-		r, ok := h.get(tid)
-		if !ok {
-			continue
-		}
-		for _, idx := range t.indexes {
-			if err := idx.Insert(t.extractKey(idx, r.data), tid); err != nil {
-				return fmt.Errorf("storage: restore %s index %s: %w", t.name, idx.Name(), err)
-			}
+	for _, idx := range t.indexes {
+		if err := t.backfill(idx); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -33,10 +33,10 @@ import (
 // rebuild during row restore. Aggregate accumulators also rebuild from
 // the rows; the encoded states overwrite the rebuilt ones so float
 // sums come back bit-for-bit identical to the checkpointed engine. The
-// disorder flags are encoded because snapshot row order is t.order —
-// which a rollback past a compaction can permute away from TID order —
-// so re-deriving them from restore order alone could silently resume
-// unsafe prefix expiry; the decoded flags are OR'd over the rebuilt
+// disorder flags are encoded because restore cannot re-derive them:
+// rows come back in TID order, and an UPDATE of the time column can
+// leave activation order out of time order (Table.Update) in a way the
+// rows no longer show. The decoded flags are OR'd over the rebuilt
 // ones (a spuriously set flag only costs a sweep, a missing one loses
 // tuples' expiry).
 
@@ -52,7 +52,7 @@ func EncodeTable(buf []byte, t *Table) []byte {
 		// stub: marker byte 3 and the live row count, validated against
 		// the restored page file.
 		buf = append(buf, 3)
-		return binary.AppendUvarint(buf, uint64(len(t.arch.loc)))
+		return binary.AppendUvarint(buf, uint64(t.heap().live()))
 	}
 	if t.window != nil {
 		buf = append(buf, 2)
@@ -223,6 +223,7 @@ func RestoreTable(t *Table, b []byte) (int, error) {
 			return 0, err
 		}
 	}
+	t.SortRestored()
 	// RestoreRow bumps nextTID to the max restored TID; honor the
 	// snapshot's counter if it is further along.
 	if nextTID > t.nextTID {

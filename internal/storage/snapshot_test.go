@@ -3,6 +3,7 @@ package storage
 import (
 	"encoding/binary"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -260,45 +261,50 @@ func TestSnapshotHugeAggregateCountRejected(t *testing.T) {
 	}
 }
 
-// TestSnapshotCarriesDisorderFlag: snapshot row order is t.order,
-// which rollback-past-compaction can permute away from TID order — so
-// restore cannot re-derive time-disorder from row sequence alone. The
-// window image must carry the flag itself.
+// TestSnapshotCarriesDisorderFlag: rows come back in TID order, and
+// restore re-derives disorder only from the active rows in that order.
+// UPDATEs that move tuples' time column forward re-stage them out of
+// time order, which no restored row shows — so the window image must
+// carry the flag itself.
 func TestSnapshotCarriesDisorderFlag(t *testing.T) {
-	src, _ := NewWindowTable("w", winSchema(), WindowSpec{TimeBased: true, Size: 10, Slide: 5, TimeColumn: 0})
-	src.Insert(winRow(0, 0), 0, nil)
-	src.Insert(winRow(12, 12), 0, nil) // slides to [5,15)
-	src.Insert(winRow(7, 7), 0, nil)   // out of order, in-window: disorder set
-	if !src.window.timeDisorder {
-		t.Fatal("test setup: disorder not set")
+	spec := WindowSpec{TimeBased: true, Size: 10, Slide: 5, TimeColumn: 0}
+	src, _ := NewWindowTable("w", winSchema(), spec)
+	var tids []uint64
+	for ts := int64(0); ts < 3; ts++ {
+		res, err := src.Insert(winRow(ts, ts), 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tids = append(tids, res.TID)
 	}
-	// Permute order into ascending-ts so restore-order derivation
-	// would see a well-ordered stream and miss the disorder. The
-	// first entry is the expired ts=0 tombstone; swap the live pair.
-	if n := len(src.order); n != 3 {
-		t.Fatalf("order = %v, want 3 entries", src.order)
+	// Both rewrites land past the window's end [0,10) and re-stage, the
+	// later TID with the earlier time: staged TID order is no longer
+	// time order.
+	if err := src.Update(tids[1], winRow(30, 30), nil); err != nil {
+		t.Fatal(err)
 	}
-	src.order[1], src.order[2] = src.order[2], src.order[1]
+	if err := src.Update(tids[2], winRow(17, 17), nil); err != nil {
+		t.Fatal(err)
+	}
+	if !src.window.timeDisorder || src.window.staged.Len() != 2 {
+		t.Fatalf("test setup: disorder %v, %d staged; want set, 2", src.window.timeDisorder, src.window.staged.Len())
+	}
 	img := EncodeTable(nil, src)
 
-	dst, _ := NewWindowTable("w", winSchema(), WindowSpec{TimeBased: true, Size: 10, Slide: 5, TimeColumn: 0})
+	dst, _ := NewWindowTable("w", winSchema(), spec)
 	if _, err := RestoreTable(dst, img); err != nil {
 		t.Fatal(err)
 	}
 	if !dst.window.timeDisorder {
 		t.Fatal("restored window lost the time-disorder flag")
 	}
-	// And the sweep works post-restore: sliding to [10,20) must expire
-	// ts=7 even though it sits behind ts=12 in the active deque.
-	dst.Insert(winRow(16, 16), 0, nil)
-	// Scan order follows the permuted order slice; check content by
-	// value, not position.
-	got := activeValues(dst)
-	sum := int64(0)
-	for _, v := range got {
-		sum += v
+	// And the sweep works post-restore: sliding to [10,20) must
+	// activate ts=17 even though it is staged behind ts=30, which a
+	// front-pop drain would stop at.
+	if _, err := dst.Insert(winRow(18, 18), 0, nil); err != nil {
+		t.Fatal(err)
 	}
-	if len(got) != 2 || sum != 28 {
-		t.Errorf("window content after post-restore slide = %v, want {12, 16}", got)
+	if got := activeValues(dst); !reflect.DeepEqual(got, []int64{17, 18}) {
+		t.Errorf("window content after post-restore slide = %v, want [17 18]", got)
 	}
 }

@@ -8,7 +8,6 @@ package storage
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -91,12 +90,9 @@ type Table struct {
 	name   string
 	kind   Kind
 	schema *types.Schema
-	rows   map[uint64]storedRow
-	order  []uint64 // insertion order; may contain tombstoned TIDs
-	// tombs is the set of TIDs still listed in order whose rows were
-	// deleted; it makes tombstone-membership checks (RestoreRow) O(1)
-	// and its size triggers compaction of order.
-	tombs   map[uint64]struct{}
+	// rows is the in-memory heap (heap.go); archive tables keep their
+	// locators in arch instead and leave rows empty.
+	rows    slots[storedRow]
 	indexes []index.Index
 	nextTID uint64
 	// gcVictims is DeleteBatch's scratch list of a batch's TIDs.
@@ -140,8 +136,7 @@ type Table struct {
 
 	// arch, when non-nil, is the disk-backed heap replacing rows: the
 	// table is an archive table and every heap access routes through
-	// liveRow/putRow/removeRow instead of the map. The rows map stays
-	// empty and unused for archive tables.
+	// liveRow/putRow/removeRow to it.
 	arch *archHeap
 
 	// src/asOf turn a Table value into a read-only versioned shim:
@@ -248,7 +243,7 @@ func (t *Table) stampInstalled() uint64 {
 }
 
 // liveRow returns the live (newest) image of a tuple — the heap seam's
-// read half. The in-memory heap is a map hit; the archive heap pins
+// read half. The in-memory heap is a slot lookup; the archive heap pins
 // the row's page in the buffer pool and decodes a copy.
 //
 //sstore:nomalloc
@@ -257,8 +252,7 @@ func (t *Table) liveRow(tid uint64) (storedRow, bool) {
 		//lint:allow hotalloc -- the archive branch decodes a row copy off a pinned page; the in-memory hot path below stays allocation-free
 		return t.arch.get(tid)
 	}
-	r, ok := t.rows[tid]
-	return r, ok
+	return t.rows.get(tid)
 }
 
 // putRow installs r as the tuple's live image — the heap seam's write
@@ -268,77 +262,41 @@ func (t *Table) putRow(tid uint64, r storedRow) error {
 	if t.arch != nil {
 		return t.arch.put(tid, r)
 	}
-	t.rows[tid] = r
+	t.rows.put(tid, r)
 	return nil
 }
 
-// removeRow drops the tuple's live image. Absent tuples are a no-op.
+// removeRow drops the tuple's live image, leaving its TID listed until
+// compaction. Absent tuples are a no-op.
 func (t *Table) removeRow(tid uint64) error {
 	if t.arch != nil {
 		return t.arch.remove(tid)
 	}
-	delete(t.rows, tid)
+	t.rows.remove(tid)
 	return nil
 }
 
-// hasRow reports live-image presence without materializing the row;
-// for archive tables this is a locator check, no page access.
-func (t *Table) hasRow(tid uint64) bool {
+// heap returns the table's slot list: the rows of an in-memory table,
+// the locators of an archive table.
+func (t *Table) heap() heapList {
 	if t.arch != nil {
-		return t.arch.has(tid)
+		return &t.arch.loc
 	}
-	_, ok := t.rows[tid]
-	return ok
+	return &t.rows
 }
 
-// heapLen returns the number of live tuples.
-func (t *Table) heapLen() int {
-	if t.arch != nil {
-		return len(t.arch.loc)
-	}
-	return len(t.rows)
-}
-
-// sortedTIDs appends every live TID to dst in ascending (arrival)
-// order. The sort happens here, next to the map iterations, so no
-// map-order dependence escapes to replay-deterministic callers.
-func (t *Table) sortedTIDs(dst []uint64) []uint64 {
-	if t.arch != nil {
-		for tid := range t.arch.loc {
-			dst = append(dst, tid)
-		}
-		sort.Slice(dst, func(i, j int) bool { return dst[i] < dst[j] })
-		return dst
-	}
-	for tid := range t.rows {
-		dst = append(dst, tid)
-	}
-	sort.Slice(dst, func(i, j int) bool { return dst[i] < dst[j] })
-	return dst
-}
-
-// clearRows empties the heap. For archive tables a failure to truncate
-// the page file leaves no consistent state to continue from, so it
-// follows the engine's crash-and-recover failure model.
-func (t *Table) clearRows() {
-	if t.arch != nil {
-		if err := t.arch.clear(); err != nil {
-			panic(fmt.Sprintf("storage: truncate archive %s: %v", t.name, err))
-		}
-		return
-	}
-	t.rows = make(map[uint64]storedRow)
+// SortRestored sorts the rows RestoreRow appended out of TID order into
+// place (heap.go); a rollback calls it after replaying its undo log.
+// Delete and setStaged, interleaved with restores, sort before lookups.
+func (t *Table) SortRestored() {
+	t.beginMutate()
+	defer t.endMutate()
+	t.heap().sortRestored()
 }
 
 // NewTable creates an empty table of the given kind.
 func NewTable(name string, kind Kind, schema *types.Schema) *Table {
-	t := &Table{
-		name:   name,
-		kind:   kind,
-		schema: schema,
-		rows:   make(map[uint64]storedRow),
-		tombs:  make(map[uint64]struct{}),
-	}
+	t := &Table{name: name, kind: kind, schema: schema}
 	t.releaseRead = func() { t.latch.RUnlock() }
 	return t
 }
@@ -361,35 +319,22 @@ func (t *Table) Window() *WindowState {
 }
 
 // Len returns the number of live rows, including staged window rows.
-func (t *Table) Len() int {
-	if t.src != nil {
-		n := 0
-		for _, tid := range t.src.order {
-			if _, _, ok := t.src.versionAt(tid, t.asOf); ok {
-				n++
-			}
-		}
-		return n
-	}
-	return t.heapLen()
-}
+func (t *Table) Len() int { return t.count(true) }
 
 // ActiveLen returns the number of rows visible to queries (live rows
 // minus staged window rows).
-func (t *Table) ActiveLen() int {
+func (t *Table) ActiveLen() int { return t.count(false) }
+
+func (t *Table) count(staged bool) int {
+	n := 0
 	if t.src != nil {
-		n := 0
-		for _, tid := range t.src.order {
-			if meta, _, ok := t.src.versionAt(tid, t.asOf); ok && !meta.Staged {
-				n++
-			}
-		}
+		t.scan(func(TupleMeta, types.Row) bool { n++; return true }, staged)
 		return n
 	}
-	if t.window == nil {
-		return t.heapLen()
+	if n = t.heap().live(); t.window != nil && !staged {
+		n -= t.window.staged.Len()
 	}
-	return t.heapLen() - t.window.staged.Len()
+	return n
 }
 
 // AddIndex attaches an index and backfills it from existing rows. Row
@@ -399,31 +344,30 @@ func (t *Table) ActiveLen() int {
 func (t *Table) AddIndex(idx index.Index) error {
 	t.beginMutate()
 	defer t.endMutate()
-	for _, name := range t.indexNames() {
-		if name == idx.Name() {
-			return fmt.Errorf("storage: table %s already has index %s", t.name, name)
+	for _, have := range t.indexes {
+		if have.Name() == idx.Name() {
+			return fmt.Errorf("storage: table %s already has index %s", t.name, idx.Name())
 		}
 	}
-	// Backfill in tid order: hash buckets accumulate entries in insert
-	// order, so a map-order backfill would give a replayed run different
-	// bucket layouts (and different scan orders) than the live run.
-	tids := t.sortedTIDs(make([]uint64, 0, t.heapLen()))
-	for _, tid := range tids {
-		r, _ := t.liveRow(tid)
-		if err := idx.Insert(t.extractKey(idx, r.data), tid); err != nil {
-			return fmt.Errorf("storage: backfilling index %s: %w", idx.Name(), err)
-		}
+	if err := t.backfill(idx); err != nil {
+		return err
 	}
 	t.indexes = append(t.indexes, idx)
 	return nil
 }
 
-func (t *Table) indexNames() []string {
-	names := make([]string, len(t.indexes))
-	for i, idx := range t.indexes {
-		names[i] = idx.Name()
+// backfill inserts every row into idx, in TID order so a replayed run
+// builds the same hash-bucket layouts as the live run.
+func (t *Table) backfill(idx index.Index) error {
+	var err error
+	t.ScanAll(func(meta TupleMeta, row types.Row) bool {
+		err = idx.Insert(t.extractKey(idx, row), meta.TID)
+		return err == nil
+	})
+	if err != nil {
+		return fmt.Errorf("storage: backfilling index %s of %s: %w", idx.Name(), t.name, err)
 	}
-	return names
+	return nil
 }
 
 // Indexes returns the attached indexes. Versioned shims carry none:
@@ -438,6 +382,25 @@ func (t *Table) extractKey(idx index.Index, row types.Row) index.Key {
 		key[i] = row[c]
 	}
 	return key
+}
+
+// indexAdd enters row under tid in every index, taking back the entries
+// already made if one index refuses it.
+func (t *Table) indexAdd(row types.Row, tid uint64) error {
+	for i, idx := range t.indexes {
+		if err := idx.Insert(t.extractKey(idx, row), tid); err != nil {
+			t.indexDrop(row, tid, t.indexes[:i])
+			return err
+		}
+	}
+	return nil
+}
+
+// indexDrop removes row's entries under tid from indexes.
+func (t *Table) indexDrop(row types.Row, tid uint64, indexes []index.Index) {
+	for _, idx := range indexes {
+		idx.Delete(t.extractKey(idx, row), tid)
+	}
 }
 
 // Insert validates row against the schema and appends it. For window
@@ -478,60 +441,42 @@ type InsertResult struct {
 func (t *Table) insertRaw(meta TupleMeta, row types.Row, undo Undo) (uint64, error) {
 	t.nextTID++
 	meta.TID = t.nextTID
-	for _, idx := range t.indexes {
-		if err := idx.Insert(t.extractKey(idx, row), meta.TID); err != nil {
-			// Unwind partial index inserts.
-			for _, done := range t.indexes {
-				if done == idx {
-					break
-				}
-				done.Delete(t.extractKey(done, row), meta.TID)
-			}
-			t.nextTID--
-			return 0, fmt.Errorf("storage: insert into %s: %w", t.name, err)
-		}
-	}
-	if err := t.putRow(meta.TID, storedRow{meta: meta, data: row, installedAt: t.stampInstalled()}); err != nil {
-		for _, done := range t.indexes {
-			done.Delete(t.extractKey(done, row), meta.TID)
-		}
+	if err := t.install(meta, row); err != nil {
 		t.nextTID--
 		return 0, fmt.Errorf("storage: insert into %s: %w", t.name, err)
 	}
-	t.order = append(t.order, meta.TID)
 	if undo != nil {
 		undo.RecordInsert(t, meta.TID)
 	}
 	return meta.TID, nil
 }
 
+// install enters a new tuple in the indexes and the heap, leaving
+// neither changed if either refuses it.
+func (t *Table) install(meta TupleMeta, row types.Row) error {
+	if err := t.indexAdd(row, meta.TID); err != nil {
+		return err
+	}
+	if err := t.putRow(meta.TID, storedRow{meta: meta, data: row, installedAt: t.stampInstalled()}); err != nil {
+		t.indexDrop(row, meta.TID, t.indexes)
+		return err
+	}
+	return nil
+}
+
 // RestoreRow re-inserts a previously deleted row with its original
-// metadata; used by transaction rollback and snapshot load. The TID
-// counter is bumped past the restored TID.
+// metadata; used by transaction rollback and snapshot load. The row
+// goes back into its slot when the slot is still listed, and is
+// appended out of order otherwise (see SortRestored). The TID counter
+// is bumped past the restored TID.
 func (t *Table) RestoreRow(meta TupleMeta, row types.Row) error {
 	t.beginMutate()
 	defer t.endMutate()
-	if t.hasRow(meta.TID) {
+	if _, ok := t.liveRow(meta.TID); ok {
 		return fmt.Errorf("storage: restore of live tid %d in %s", meta.TID, t.name)
 	}
-	for _, idx := range t.indexes {
-		if err := idx.Insert(t.extractKey(idx, row), meta.TID); err != nil {
-			return fmt.Errorf("storage: restore into %s: %w", t.name, err)
-		}
-	}
-	if err := t.putRow(meta.TID, storedRow{meta: meta, data: row, installedAt: t.stampInstalled()}); err != nil {
-		for _, idx := range t.indexes {
-			idx.Delete(t.extractKey(idx, row), meta.TID)
-		}
+	if err := t.install(meta, row); err != nil {
 		return fmt.Errorf("storage: restore into %s: %w", t.name, err)
-	}
-	// The TID may still be listed in order as a tombstone from the
-	// earlier delete (rollback paths delete and restore the same
-	// tuple); appending again would make scans visit the row twice.
-	if _, present := t.tombs[meta.TID]; present {
-		delete(t.tombs, meta.TID)
-	} else {
-		t.order = append(t.order, meta.TID)
 	}
 	if meta.TID > t.nextTID {
 		t.nextTID = meta.TID
@@ -557,21 +502,17 @@ func (t *Table) RestoreRow(meta TupleMeta, row types.Row) error {
 func (t *Table) Delete(tid uint64, undo Undo) (types.Row, error) {
 	t.beginMutate()
 	defer t.endMutate()
+	t.heap().sortRestored()
 	r, ok := t.liveRow(tid)
 	if !ok {
 		return nil, fmt.Errorf("storage: delete of missing tid %d in %s", tid, t.name)
 	}
 	t.preserveVersion(tid, r)
-	for _, idx := range t.indexes {
-		idx.Delete(t.extractKey(idx, r.data), tid)
-	}
+	t.indexDrop(r.data, tid, t.indexes)
 	if err := t.removeRow(tid); err != nil {
-		for _, idx := range t.indexes {
-			_ = idx.Insert(t.extractKey(idx, r.data), tid)
-		}
+		_ = t.indexAdd(r.data, tid)
 		return nil, fmt.Errorf("storage: delete from %s: %w", t.name, err)
 	}
-	t.tombs[tid] = struct{}{}
 	t.maybeCompact()
 	if t.window != nil {
 		if r.meta.Staged {
@@ -601,33 +542,17 @@ func (t *Table) Update(tid uint64, newRow types.Row, undo Undo) error {
 	if err != nil {
 		return fmt.Errorf("storage: update %s: %w", t.name, err)
 	}
-	for _, idx := range t.indexes {
-		idx.Delete(t.extractKey(idx, r.data), tid)
-	}
-	for _, idx := range t.indexes {
-		if err := idx.Insert(t.extractKey(idx, newRow), tid); err != nil {
-			// Roll the index changes back to the old row.
-			for _, done := range t.indexes {
-				if done == idx {
-					break
-				}
-				done.Delete(t.extractKey(done, newRow), tid)
-			}
-			for _, redo := range t.indexes {
-				_ = redo.Insert(t.extractKey(redo, r.data), tid)
-			}
-			return fmt.Errorf("storage: update %s: %w", t.name, err)
+	t.indexDrop(r.data, tid, t.indexes)
+	err = t.indexAdd(newRow, tid)
+	if err == nil {
+		t.preserveVersion(tid, r)
+		if err = t.putRow(tid, storedRow{meta: r.meta, data: newRow, installedAt: t.stampInstalled()}); err != nil {
+			t.indexDrop(newRow, tid, t.indexes)
 		}
 	}
-	t.preserveVersion(tid, r)
-	if err := t.putRow(tid, storedRow{meta: r.meta, data: newRow, installedAt: t.stampInstalled()}); err != nil {
+	if err != nil {
 		// Roll the index changes back to the old row.
-		for _, idx := range t.indexes {
-			idx.Delete(t.extractKey(idx, newRow), tid)
-		}
-		for _, idx := range t.indexes {
-			_ = idx.Insert(t.extractKey(idx, r.data), tid)
-		}
+		_ = t.indexAdd(r.data, tid)
 		return fmt.Errorf("storage: update %s: %w", t.name, err)
 	}
 	if undo != nil {
@@ -670,62 +595,44 @@ func (t *Table) Get(tid uint64) (TupleMeta, types.Row, bool) {
 	if t.src != nil {
 		return t.src.versionAt(tid, t.asOf)
 	}
-	r, ok := t.liveRow(tid)
-	if !ok {
-		var none TupleMeta
-		return none, nil, false
-	}
-	return r.meta, r.data, true
+	r, ok := t.liveRow(tid) // the zero row when absent
+	return r.meta, r.data, ok
 }
 
 // Scan calls fn for every visible (non-staged) row in arrival order.
-// fn returning false stops the scan. The row must not be mutated. On a
-// versioned shim each tuple resolves through its version chain.
+// fn returning false stops the scan. Neither the row nor the table may
+// be mutated from inside fn. On a versioned shim each tuple resolves
+// through its version chain.
 func (t *Table) Scan(fn func(meta TupleMeta, row types.Row) bool) {
-	if t.src != nil {
-		for _, tid := range t.src.order {
-			meta, row, ok := t.src.versionAt(tid, t.asOf)
-			if !ok || meta.Staged {
-				continue
-			}
-			if !fn(meta, row) {
-				return
-			}
-		}
-		return
-	}
-	for _, tid := range t.order {
-		r, ok := t.liveRow(tid)
-		if !ok || r.meta.Staged {
-			continue
-		}
-		if !fn(r.meta, r.data) {
-			return
-		}
-	}
+	t.scan(fn, false)
 }
 
 // ScanAll is Scan including staged rows; used by window management and
 // snapshotting.
 func (t *Table) ScanAll(fn func(meta TupleMeta, row types.Row) bool) {
-	if t.src != nil {
-		for _, tid := range t.src.order {
-			meta, row, ok := t.src.versionAt(tid, t.asOf)
-			if !ok {
-				continue
-			}
-			if !fn(meta, row) {
+	t.scan(fn, true)
+}
+
+func (t *Table) scan(fn func(meta TupleMeta, row types.Row) bool, staged bool) {
+	if t.src == nil && t.arch == nil {
+		rows := t.rows.s
+		for i := range rows {
+			if s := &rows[i]; s.live && (staged || !s.val.meta.Staged) && !fn(s.val.meta, s.val.data) {
 				return
 			}
 		}
 		return
 	}
-	for _, tid := range t.order {
-		r, ok := t.liveRow(tid)
-		if !ok {
-			continue
-		}
-		if !fn(r.meta, r.data) {
+	// A versioned shim resolves each listed tuple at its boundary; an
+	// archive table's live rows are those at every boundary.
+	src, asOf := t, ^uint64(0)
+	if t.src != nil {
+		src, asOf = t.src, t.asOf
+	}
+	h := src.heap()
+	for i, n := 0, h.size(); i < n; i++ {
+		meta, row, ok := src.versionAt(h.tidAt(i), asOf)
+		if ok && (staged || !meta.Staged) && !fn(meta, row) {
 			return
 		}
 	}
@@ -739,6 +646,7 @@ func (t *Table) ScanAll(fn func(meta TupleMeta, row types.Row) bool) {
 func (t *Table) setStaged(tid uint64, staged bool, undo Undo) {
 	t.beginMutate()
 	defer t.endMutate()
+	t.heap().sortRestored()
 	r, ok := t.liveRow(tid)
 	if !ok || r.meta.Staged == staged {
 		return
@@ -771,28 +679,15 @@ func (t *Table) setStaged(tid uint64, staged bool, undo Undo) {
 }
 
 // RestoreStaged is the rollback counterpart of setStaged.
-func (t *Table) RestoreStaged(tid uint64, staged bool) {
-	t.setStaged(tid, staged, nil)
-}
+func (t *Table) RestoreStaged(tid uint64, staged bool) { t.setStaged(tid, staged, nil) }
 
-// maybeCompact rewrites order to drop tombstones. It is suppressed
+// maybeCompact drops deleted slots from the heap. It is suppressed
 // while version chains exist: a chained (deleted) tuple must stay
-// listed in order or versioned scans would skip it.
+// listed or versioned scans would skip it.
 func (t *Table) maybeCompact() {
-	if len(t.olds) > 0 {
-		return
+	if len(t.olds) == 0 {
+		t.heap().compact()
 	}
-	if len(t.tombs)*2 < len(t.order) || len(t.order) < 64 {
-		return
-	}
-	live := t.order[:0]
-	for _, tid := range t.order {
-		if t.hasRow(tid) {
-			live = append(live, tid)
-		}
-	}
-	t.order = live
-	t.tombs = make(map[uint64]struct{})
 }
 
 // Truncate removes all rows without recording undo; used by snapshot
@@ -802,43 +697,36 @@ func (t *Table) maybeCompact() {
 //
 // Under a pinned reader, truncation routes through the version chains
 // like any other mutation: every live row's pre-image is pushed onto
-// its chain and its TID tombstoned — O(rows retired) through the
+// its chain and its TID stays listed — O(rows retired) through the
 // retire ring, no whole-table fallback image. Versioned scans keep
 // resolving the pre-truncate rows until the pins advance and the ring
 // drains the chains.
 func (t *Table) Truncate() {
 	t.beginMutate()
 	defer t.endMutate()
-	pinned := false
-	if v := t.views; v != nil && v.pinCount.Load() > 0 && v.curTask.Load() > 0 {
-		pinned = true
-	}
-	if pinned {
-		// order (not the heap map) drives the walk so replayed runs
-		// retire versions in the same sequence as the live run.
-		for _, tid := range t.order {
-			r, ok := t.liveRow(tid)
-			if !ok {
-				continue
+	v := t.views
+	if v != nil && v.pinCount.Load() > 0 && v.curTask.Load() > 0 {
+		h := t.heap()
+		for i, n := 0, h.size(); i < n; i++ {
+			if r, ok := t.liveRow(h.tidAt(i)); ok {
+				t.preserveVersion(h.tidAt(i), r)
 			}
-			t.preserveVersion(tid, r)
-			t.tombs[tid] = struct{}{}
 		}
 	} else {
 		t.olds = nil
-		t.order = t.order[:0]
-		t.tombs = make(map[uint64]struct{})
 	}
-	t.clearRows()
-	if t.window != nil {
-		w := t.window
-		w.filled = false
-		w.started = false
-		w.start = 0
-		w.slides = 0
-		w.maxTS = 0
-		w.maxTSSet = false
-		w.timeDisorder = false
+	// For archive tables a failure to truncate the page file leaves no
+	// consistent state to continue from, so it follows the engine's
+	// crash-and-recover failure model.
+	if t.arch != nil {
+		if err := t.arch.clear(); err != nil {
+			panic(fmt.Sprintf("storage: truncate archive %s: %v", t.name, err))
+		}
+	}
+	t.heap().killAll()
+	t.maybeCompact()
+	if w := t.window; w != nil {
+		w.Reset(WindowMark{})
 		w.active.Clear()
 		w.staged.Clear()
 		w.resetAggregates()

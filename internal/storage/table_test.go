@@ -131,8 +131,10 @@ func TestAddIndexBackfillsAndRejectsDuplicates(t *testing.T) {
 	if err := tbl.AddIndex(index.NewBTree("by_id", []int{0}, true)); err != nil {
 		t.Fatal(err)
 	}
-	if got := tbl.IndexOn([]int{0}).Len(); got != 3 {
-		t.Errorf("backfilled index Len = %d, want 3", got)
+	for i := int64(0); i < 3; i++ {
+		if got := tbl.IndexOn([]int{0}).Lookup(index.Key{types.NewInt(i)}); len(got) != 1 {
+			t.Errorf("backfilled index lookup of %d = %v, want one tid", i, got)
+		}
 	}
 	if err := tbl.AddIndex(index.NewHashIndex("by_id", []int{0}, false)); err == nil {
 		t.Error("duplicate index name should fail")
@@ -185,8 +187,8 @@ func TestCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if len(tbl.order) > 100 {
-		t.Errorf("order not compacted: %d entries for %d rows", len(tbl.order), tbl.Len())
+	if n := len(tbl.rows.s); n > 2*tbl.Len()+1 {
+		t.Errorf("heap not compacted: %d slots for %d rows", n, tbl.Len())
 	}
 	// Scan still sees the survivors in order.
 	var seen []int64
@@ -251,4 +253,65 @@ func TestCatalog(t *testing.T) {
 	if names := c.Names(); fmt.Sprint(names) != "[Votes s1]" {
 		t.Errorf("Names = %v", names)
 	}
+}
+
+// TestChurnKeepsHeapSmall runs 10 000 insert/delete cycles against the
+// three shapes that churn in S-Store — a one-row table, a stream
+// garbage-collected batch by batch, and a slide-1 window — and checks
+// after every step that the heap holds at most 2·live+1 slots: deleted
+// tuples do not pile up in front of the live ones.
+func TestChurnKeepsHeapSmall(t *testing.T) {
+	check := func(t *testing.T, tbl *Table, step int) {
+		t.Helper()
+		if n, live := len(tbl.rows.s), tbl.Len(); n > 2*live+1 {
+			t.Fatalf("step %d: %d heap slots for %d live rows", step, n, live)
+		}
+	}
+	const cycles = 10000
+	t.Run("one-row table", func(t *testing.T) {
+		tbl := NewTable("t", KindTable, testSchema())
+		prev, _ := tbl.Insert(row(0, "x"), 0, nil)
+		for i := int64(1); i <= cycles; i++ {
+			res, err := tbl.Insert(row(i, "x"), 0, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(t, tbl, int(i))
+			if _, err := tbl.Delete(prev.TID, nil); err != nil {
+				t.Fatal(err)
+			}
+			check(t, tbl, int(i))
+			prev = res
+		}
+	})
+	t.Run("stream", func(t *testing.T) {
+		tbl := NewTable("s", KindStream, testSchema())
+		for b := int64(1); b <= cycles; b++ {
+			for i := int64(0); i < 2; i++ {
+				if _, err := tbl.Insert(row(i, "x"), b, nil); err != nil {
+					t.Fatal(err)
+				}
+				check(t, tbl, int(b))
+			}
+			if n := DeleteBatch(tbl, b-1, nil); b > 1 && n != 2 {
+				t.Fatalf("batch %d: DeleteBatch removed %d, want 2", b-1, n)
+			}
+			check(t, tbl, int(b))
+		}
+	})
+	t.Run("slide-1 window", func(t *testing.T) {
+		tbl, err := NewWindowTable("w", winSchema(), WindowSpec{Size: 4, Slide: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := int64(0); i < cycles; i++ {
+			if _, err := tbl.Insert(winRow(i, i), 0, nil); err != nil {
+				t.Fatal(err)
+			}
+			check(t, tbl, int(i))
+		}
+		if got := activeValues(tbl); len(got) != 4 || got[0] != cycles-4 {
+			t.Fatalf("window content = %v, want the last 4 values", got)
+		}
+	})
 }

@@ -209,7 +209,7 @@ func (t *Table) slideTime(row types.Row, undo Undo) bool {
 		w.timeDisorder = false
 		w.maxTSSet = false
 		if w.active.Len() == 1 {
-			if r, ok := t.rows[w.active.Front()]; ok {
+			if r, ok := t.liveRow(w.active.Front()); ok {
 				w.maxTS, w.maxTSSet = timeValue(r.data[w.Spec.TimeColumn]), true
 			}
 		}
@@ -276,7 +276,7 @@ func (t *Table) drainStaged(undo Undo) {
 			tids = append(tids, w.staged.At(i))
 		}
 		for _, tid := range tids {
-			r, ok := t.rows[tid]
+			r, ok := t.liveRow(tid)
 			if !ok || !r.meta.Staged {
 				continue
 			}
@@ -291,7 +291,7 @@ func (t *Table) drainStaged(undo Undo) {
 	}
 	for w.staged.Len() > 0 {
 		tid := w.staged.Front()
-		r, ok := t.rows[tid]
+		r, ok := t.liveRow(tid)
 		if !ok {
 			w.staged.PopFront()
 			continue
@@ -320,7 +320,7 @@ func (t *Table) expireActiveBefore(bound int64, undo Undo) {
 		var victims []uint64
 		for i := 0; i < w.active.Len(); i++ {
 			tid := w.active.At(i)
-			if r, ok := t.rows[tid]; ok && timeValue(r.data[col]) < bound {
+			if r, ok := t.liveRow(tid); ok && timeValue(r.data[col]) < bound {
 				victims = append(victims, tid)
 			}
 		}
@@ -331,7 +331,7 @@ func (t *Table) expireActiveBefore(bound int64, undo Undo) {
 	}
 	for w.active.Len() > 0 {
 		tid := w.active.Front()
-		r, ok := t.rows[tid]
+		r, ok := t.liveRow(tid)
 		if !ok {
 			w.active.PopFront()
 			continue

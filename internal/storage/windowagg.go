@@ -237,13 +237,8 @@ func (t *Table) MaintainAggregate(fn AggFunc, col int, groupBy ...int) error {
 	if col != AggStar && t.schema.Column(col).Kind == types.KindFloat {
 		agg.state.isFloat = true
 	}
-	w := t.window
-	for i := 0; i < w.active.Len(); i++ {
-		if r, ok := t.rows[w.active.At(i)]; ok {
-			agg.add(r.data)
-		}
-	}
-	w.aggs = append(w.aggs, agg)
+	t.Scan(func(_ TupleMeta, row types.Row) bool { agg.add(row); return true })
+	t.window.aggs = append(t.window.aggs, agg)
 	return nil
 }
 
@@ -285,12 +280,7 @@ func (t *Table) rescanAggregate(a *WindowAggregate) {
 	a.state.best, a.state.bestN, a.state.dirty = types.Null, 0, false
 	n := a.state.n
 	a.state.n = 0
-	w := t.window
-	for i := 0; i < w.active.Len(); i++ {
-		if r, ok := t.rows[w.active.At(i)]; ok {
-			a.add(r.data)
-		}
-	}
+	t.Scan(func(_ TupleMeta, row types.Row) bool { a.add(row); return true })
 	a.state.n = n
 }
 

@@ -278,11 +278,7 @@ func (t *Table) maintainGrouped(fn AggFunc, col int, keys []int) error {
 	}
 	g.calls = append(g.calls, groupCall{fn: fn, col: col})
 	g.reset()
-	for i := 0; i < w.active.Len(); i++ {
-		if r, ok := t.rows[w.active.At(i)]; ok {
-			g.add(r.data)
-		}
-	}
+	t.Scan(func(_ TupleMeta, row types.Row) bool { g.add(row); return true })
 	return nil
 }
 

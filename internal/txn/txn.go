@@ -159,6 +159,11 @@ func (t *Txn) Rollback() error {
 			op.table.RestoreStaged(op.tid, op.prev)
 		}
 	}
+	for _, op := range t.undo {
+		if op.kind == opDelete {
+			op.table.SortRestored()
+		}
+	}
 	for _, wm := range t.windows {
 		wm.table.Window().Reset(wm.mark)
 	}
